@@ -81,7 +81,6 @@ def _method_config(args) -> MethodConfig:
         learning_rate=args.lr,
         epochs=args.epochs,
         l2_penalty=args.l2,
-        seed=args.seed,
     )
     return MethodConfig(
         synthetic_count=args.h,
@@ -226,6 +225,14 @@ def cmd_predict(args) -> int:
     if data.n_features != model.input_dim:
         raise DataError(
             f"model expects {model.input_dim} features but data has {data.n_features}"
+        )
+    trained_names = meta.get("feature_names")
+    if trained_names is not None and data.feature_names != trained_names:
+        j = next(j for j, (got, want) in enumerate(zip(data.feature_names, trained_names))
+                 if got != want)
+        raise DataError(
+            f"feature column {j + 1} of {args.data} is {data.feature_names[j]!r}, "
+            f"but the model was trained on {trained_names[j]!r} there"
         )
     if meta.get("standardizer"):
         params = StandardizationParams(

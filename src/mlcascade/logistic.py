@@ -8,6 +8,7 @@ bitwise identical models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 1000
     l2_penalty: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0:
@@ -85,8 +85,12 @@ class LinearModel:
 
 def sigmoid(a):
     """Logistic function 1 / (1 + exp(-a)), with the argument clamped to +-35."""
-    a = np.clip(a, -ACTIVATION_CLAMP, ACTIVATION_CLAMP)
-    return 1.0 / (1.0 + np.exp(-a))
+    return 1.0 / (1.0 + np.exp(-_clamp(a)))
+
+
+def _clamp(a, lo=-ACTIVATION_CLAMP, hi=ACTIVATION_CLAMP, out=None):
+    """np.clip(a, lo, hi) without np.clip's Python wrapper, which costs ~4 us a call."""
+    return np.minimum(np.maximum(a, lo, out=out), hi, out=out)
 
 
 def _check_features(x: np.ndarray, dim: int) -> np.ndarray:
@@ -135,24 +139,78 @@ def cross_entropy_grad(model: LinearModel, X: np.ndarray, y: np.ndarray) -> np.n
 def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -> LinearModel:
     """Fit a logistic model by full-batch gradient descent from zero weights.
 
-    The per-epoch step uses the mean gradient over the batch (the summed
-    gradient scaled by 1/N), so the fixed default step size stays stable
-    across dataset sizes; the bias is never regularized.  Deterministic
-    given (X, y, config).
+    Each epoch computes, in this floating-point order,
+
+        err = sigmoid(b + X @ w) - y
+        w  -= lr * (X.T @ err / n + l2 * w)
+        b  -= lr * mean(err)
+
+    so the per-epoch step uses the mean gradient over the batch, the fixed
+    default step size stays stable across dataset sizes, and the bias is
+    never regularized.  Deterministic given (X, y, config).
+
+    Raises ValueError at the first epoch whose bias is not finite: the step
+    size is too large for the data.  An overflowing weight turns the next
+    epoch's error, and so the bias, non-finite unless every activation it
+    reaches is clamped; a fit that still ends with a non-finite weight fails
+    in LinearModel.
     """
     if config is None:
         config = TrainConfig()
     X, y = _check_xy(X, y)
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
     lr = config.learning_rate
     l2 = config.l2_penalty
-    for _ in range(config.epochs):
-        err = sigmoid(b + X @ w) - y
-        w -= lr * (X.T @ err / n + l2 * w)
-        b -= lr * float(err.mean())
-    return LinearModel(weights=np.concatenate(([b], w)), input_dim=d)
+    # The loop is bound by numpy call overhead at small n, so it allocates
+    # nothing: every step writes into a buffer made here.  Each step is the
+    # docstring's operation, rearranged only by commuting an addition or a
+    # multiplication or by an exact negation, so the weights are bit for bit
+    # those of the plain formula.  The weights are held negated (nw = -w), so
+    # X @ nw - b is -(b + X @ w) and exp takes it without a negation step.
+    nw = np.zeros(d)
+    b = 0.0
+    t = np.empty(n)
+    g = np.empty(d)
+    r = np.empty(d)
+    # A ufunc call costs ~0.2 us less with a same-shape array operand than
+    # with a Python scalar.
+    ones, lo, hi = np.ones(n), np.full(n, -ACTIVATION_CLAMP), np.full(n, ACTIVATION_CLAMP)
+    n_d, l2_d, lr_d = np.full(d, float(n)), np.full(d, l2), np.full(d, lr)
+    # np.dot skips matmul's dispatch (~1.2 us a call) and makes the same BLAS
+    # call when X is aligned and contiguous; otherwise it can sum in another
+    # order than matmul.
+    contiguous = X.flags.c_contiguous or X.flags.f_contiguous
+    dot = np.dot if X.flags.aligned and contiguous else np.matmul
+    # Local names save a module attribute lookup per call.
+    subtract, add, multiply, divide, exp = np.subtract, np.add, np.multiply, np.divide, np.exp
+    total = np.add.reduce
+    XT = X.T
+    with np.errstate(all="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            dot(X, nw, t)
+            subtract(t, b, t)
+            _clamp(t, lo, hi, t)
+            exp(t, t)
+            add(t, ones, t)
+            divide(ones, t, t)
+            subtract(t, y, t)  # err
+            dot(XT, t, g)
+            divide(g, n_d, g)
+            multiply(nw, l2_d, r)  # -(l2 * w)
+            subtract(g, r, g)
+            multiply(g, lr_d, g)
+            add(nw, g, nw)
+            # total is np.add.reduce, the pairwise sum err.mean() takes, without its wrapper.
+            b -= lr * (float(total(t)) / n)
+            if not math.isfinite(b):
+                raise ValueError(
+                    f"training diverged at epoch {epoch} of {config.epochs}: the bias is "
+                    f"{b} (learning_rate={lr!r}, data shape n={n}, d={d}); "
+                    "try a smaller learning rate"
+                )
+    # 0.0 - nw, not -nw: a weight the plain loop leaves at zero is +0.0, never
+    # -0.0, and nw holds +0.0 for it.
+    return LinearModel(weights=np.concatenate(([b], 0.0 - nw)), input_dim=d)
 
 
 def predict_proba(model: LinearModel, x: np.ndarray) -> np.ndarray | float:

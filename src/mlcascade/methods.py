@@ -299,11 +299,33 @@ def predict(model: Any, x: np.ndarray) -> np.ndarray:
 
 
 def with_seed(cfg: MethodConfig, seed: int) -> MethodConfig:
-    """Copy of cfg with both the method seed and the base-learner seed set."""
-    return replace(cfg, seed=seed, base=replace(cfg.base, seed=seed))
+    """Copy of cfg with the method seed set."""
+    return replace(cfg, seed=seed)
 
 
 # --- JSON serialization -----------------------------------------------------
+
+MODEL_VERSION = 1
+
+
+class _JsonObject(dict):
+    """A JSON object that names its path in the document when a field is missing."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {self.path}.{key}")
+
+
+def _with_paths(node: Any, path: str = "$") -> Any:
+    """Copy of a parsed JSON document whose objects are _JsonObjects."""
+    if isinstance(node, dict):
+        obj = _JsonObject((k, _with_paths(v, f"{path}.{k}")) for k, v in node.items())
+        obj.path = path
+        return obj
+    # Lists of numbers (the weights) are most of a model file: skip them.
+    if isinstance(node, list) and node and isinstance(node[0], (dict, list)):
+        return [_with_paths(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return node
+
 
 def _br_to_dict(m: BRModel) -> dict:
     return {
@@ -418,7 +440,7 @@ def save_model(
 ) -> None:
     doc = {
         "format": "mlcascade-model",
-        "version": 1,
+        "version": MODEL_VERSION,
         "feature_names": feature_names,
         "label_names": label_names,
         "standardizer": standardizer,
@@ -430,14 +452,26 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[Any, dict]:
     """Load a saved model; returns (model, metadata) where metadata carries the
-    optional feature/label names and feature standardizer stored at save time."""
+    optional feature/label names and feature standardizer stored at save time.
+
+    Raises ValueError for a file that is not a version-1 model document, and
+    names the JSON path of the first missing field."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "mlcascade-model":
+    if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":
         raise ValueError(f"{path} is not a saved model file")
+    if doc.get("version") != MODEL_VERSION:
+        raise ValueError(
+            f"{path}: unsupported model version {doc.get('version')!r} "
+            f"(this program reads version {MODEL_VERSION})"
+        )
     meta = {
         "feature_names": doc.get("feature_names"),
         "label_names": doc.get("label_names"),
         "standardizer": doc.get("standardizer"),
     }
-    return model_from_dict(doc["model"]), meta
+    try:
+        model = model_from_dict(_with_paths(doc)["model"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return model, meta

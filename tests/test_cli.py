@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,54 @@ class TestTrainPredict:
                      "--data", str(logical_csv), "--label-count", "3",
                      "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+    def test_diverging_fit_is_data_error_without_warnings(self, tmp_path, logical_csv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--dataset", str(logical_csv), "--label-count", "3",
+                         "--method", "br", "--lr", "1e30", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "diverged at epoch " in err and "learning_rate=1e+30" in err
+        assert caught == []
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.fixture()
+    def model_doc(self, tmp_path, logical_csv):
+        path = tmp_path / "model.json"
+        main(["train", "--dataset", str(logical_csv), "--label-count", "3",
+              "--method", "ccasl+br", "--out", str(path)])
+        return json.loads(path.read_text())
+
+    def _predict(self, tmp_path, doc, data):
+        model_path = tmp_path / "edited.json"
+        model_path.write_text(json.dumps(doc))
+        return main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--label-count", "3", "--out", str(tmp_path / "p.csv")])
+
+    def test_reordered_feature_columns_are_data_error(self, tmp_path, logical_csv,
+                                                      model_doc, capsys):
+        header, *rows = logical_csv.read_text().splitlines()
+        assert header.startswith("x1,x2,")
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("\n".join(["x2,x1," + header[6:], *rows]) + "\n")
+        assert self._predict(tmp_path, model_doc, swapped) == 2
+        err = capsys.readouterr().err
+        assert "feature column 1" in err and "'x2'" in err and "'x1'" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_unknown_model_version_is_data_error(self, tmp_path, logical_csv,
+                                                 model_doc, capsys):
+        model_doc["version"] = 99
+        assert self._predict(tmp_path, model_doc, logical_csv) == 2
+        assert "unsupported model version 99" in capsys.readouterr().err
+
+    def test_missing_model_field_is_data_error(self, tmp_path, logical_csv,
+                                               model_doc, capsys):
+        del model_doc["model"]["first_layer"]["chain"]["models"][1]["weights"]
+        assert self._predict(tmp_path, model_doc, logical_csv) == 2
+        err = capsys.readouterr().err
+        assert "missing field $.model.first_layer.chain.models[1].weights" in err
 
     def test_prediction_csv_has_exactly_label_columns(self, tmp_path, logical_csv):
         model_path = tmp_path / "model.json"

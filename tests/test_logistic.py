@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcascade.logistic import (
     LinearModel,
@@ -17,6 +20,57 @@ from mlcascade.logistic import (
 AND_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 AND_Y = np.array([0, 0, 0, 1])
 XOR_Y = np.array([0, 1, 1, 0])
+
+
+def reference_sigmoid(a):
+    a = np.clip(a, -35.0, 35.0)
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def reference_fit(X, y, config):
+    """The plain gradient-descent loop train_logistic must match bit for bit:
+    returns the weight vector, bias first."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    lr = config.learning_rate
+    l2 = config.l2_penalty
+    for _ in range(config.epochs):
+        err = reference_sigmoid(b + X @ w) - y
+        w -= lr * (X.T @ err / n + l2 * w)
+        b -= lr * float(err.mean())
+    return np.concatenate(([b], w))
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def fit_problems(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Twice the columns, so a strided view of them is one of the layouts.
+    if draw(st.booleans()):
+        wide = rng.integers(0, 2, size=(n, 2 * d)).astype(float)
+    else:
+        wide = rng.normal(scale=draw(st.floats(0.1, 10.0)), size=(n, 2 * d))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "strided"]))
+    X = {
+        "C": np.ascontiguousarray(wide[:, :d]),
+        "F": np.asfortranarray(wide[:, :d]),
+        "sliced": wide[:, :d],
+        "strided": wide[:, ::2],
+    }[layout]
+    y = rng.integers(0, 2, size=n).astype(float)
+    config = TrainConfig(
+        learning_rate=draw(st.floats(1e-3, 10.0)),
+        epochs=draw(st.integers(1, 50)),
+        l2_penalty=draw(st.sampled_from([0.0, 1e-4]) | st.floats(0.0, 1.0)),
+    )
+    return X, y, config
 
 
 class TestSigmoid:
@@ -39,6 +93,12 @@ class TestSigmoid:
     def test_monotone(self):
         a = np.linspace(-20, 20, 2000)
         assert np.all(np.diff(sigmoid(a)) > 0)
+
+    def test_same_bits_as_np_clip_form(self):
+        a = np.concatenate((np.linspace(-40, 40, 801), [-0.0, -1e300, 1e300, -np.inf, np.inf]))
+        assert_same_bits(sigmoid(a), reference_sigmoid(a))
+        assert sigmoid(-50.0) == reference_sigmoid(-50.0)
+        assert np.isnan(sigmoid(np.nan))
 
 
 class TestCrossEntropy:
@@ -150,6 +210,38 @@ class TestTrainLogistic:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             train_logistic(np.array([[np.nan, 1.0]]), np.array([1]))
+
+    def test_divergence_stops_at_first_nonfinite_bias(self):
+        lr = 1e30
+        with np.errstate(all="ignore"):
+            first = next(
+                k for k in range(1, 100)
+                if not math.isfinite(reference_fit(AND_X, AND_Y, TrainConfig(lr, k))[0])
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as e:
+                train_logistic(AND_X, AND_Y, TrainConfig(learning_rate=lr))
+        message = str(e.value)
+        assert f"epoch {first} of 1000" in message
+        assert "learning_rate=1e+30" in message
+        assert "n=4, d=2" in message
+
+
+class TestBitExactness:
+    """train_logistic's in-place loop against the plain loop it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fit_problems())
+    def test_random_problems(self, problem):
+        X, y, config = problem
+        assert_same_bits(train_logistic(X, y, config).weights, reference_fit(X, y, config))
+
+    def test_large_problem(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(1000, 32))
+        y = (X[:, 0] + rng.normal(size=1000) > 0).astype(float)
+        assert_same_bits(train_logistic(X, y).weights, reference_fit(X, y, TrainConfig()))
 
 
 class TestPredict:
