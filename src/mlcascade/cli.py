@@ -9,10 +9,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .data import (
-    CsvFormatError,
     Dataset,
     StandardizationParams,
     SynthNetSpec,
@@ -57,22 +57,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+@contextmanager
+def _atomic_file(path: Path):
+    """Yield a temporary path to write to; on success move it onto path.
 
-
-def _atomic_file(path: Path, writer) -> None:
-    """Run writer(tmp_path), then move the result into place."""
+    If the block raises, the temporary file is removed and the error
+    re-raised, so path is either complete or untouched."""
     tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_manifest(csv_path: Path, manifest: dict) -> Path:
     manifest_path = csv_path.with_suffix(".manifest.json")
-    _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with _atomic_file(manifest_path) as tmp:
+        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return manifest_path
 
 
@@ -141,7 +144,8 @@ def cmd_gen(args) -> int:
             "hidden": spec.hidden_units,
             "seed": spec.seed,
         }
-    _atomic_file(out, lambda p: save_csv(dataset, p))
+    with _atomic_file(out) as tmp:
+        save_csv(dataset, tmp)
     manifest_path = _write_manifest(out, manifest)
     print(f"wrote {out} ({dataset.n_rows} rows, {dataset.n_features} features, "
           f"{dataset.n_labels} labels) and {manifest_path}")
@@ -177,9 +181,11 @@ def cmd_bench(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / f"{name}-exactmatch.csv", report.metric_csv("exact"))
-    _atomic_write(out_dir / f"{name}-hamming.csv", report.metric_csv("hamming"))
-    _atomic_write(out_dir / f"{name}-report.txt", report.table_text())
+    for suffix, text in (("exactmatch.csv", report.metric_csv("exact")),
+                         ("hamming.csv", report.metric_csv("hamming")),
+                         ("report.txt", report.table_text())):
+        with _atomic_file(out_dir / f"{name}-{suffix}") as tmp:
+            tmp.write_text(text, encoding="utf-8")
     print(report.table_text())
     print(f"report files written to {out_dir}")
     return EXIT_OK
@@ -199,16 +205,14 @@ def cmd_train(args) -> int:
         dataset = apply_standardizer(params, dataset)
         scaler_doc = {"mean": params.mean.tolist(), "std": params.std.tolist()}
     model = train_method(args.method, dataset, _method_config(args))
-    _atomic_file(
-        Path(args.out),
-        lambda p: save_model(
+    with _atomic_file(Path(args.out)) as tmp:
+        save_model(
             model,
-            p,
+            tmp,
             feature_names=dataset.feature_names,
             label_names=dataset.label_names,
             standardizer=scaler_doc,
-        ),
-    )
+        )
     print(f"trained {args.method} on {dataset.n_rows} rows; model saved to {args.out}")
     return EXIT_OK
 
@@ -241,10 +245,9 @@ def cmd_predict(args) -> int:
         data = apply_standardizer(params, data)
     preds = model.predict(data.X)
     label_names = meta.get("label_names") or [f"y{j + 1}" for j in range(preds.shape[1])]
-    lines = [",".join(label_names)]
-    for row in preds:
-        lines.append(",".join(str(int(v)) for v in row))
-    _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+    lines = [",".join(label_names), *(",".join(map(str, row)) for row in preds.tolist())]
+    with _atomic_file(Path(args.out)) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {preds.shape[0]} prediction rows to {args.out}")
     return EXIT_OK
 
@@ -337,13 +340,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"mlcascade: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CsvFormatError, FileNotFoundError) as e:
-        print(f"mlcascade: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
+    except (DataError, ValueError, FileNotFoundError) as e:
         print(f"mlcascade: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MethodFailure as e:
+        # A method rejecting its data (a diverging fit) is a data error.
+        if isinstance(e.__cause__, ValueError):
+            print(f"mlcascade: data error: {e}", file=sys.stderr)
+            return EXIT_DATA
         print(f"mlcascade: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as e:  # pragma: no cover - defensive

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -154,15 +155,18 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.feature_names + dataset.label_names)
-        for xi, yi in zip(dataset.X, dataset.Y):
-            writer.writerow([repr(float(v)) for v in xi] + [str(int(v)) for v in yi])
+        writer.writerows(
+            [*map(repr, xi), *map(str, yi)]
+            for xi, yi in zip(dataset.X.tolist(), dataset.Y.tolist())
+        )
 
 
 def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
     The trailing label_count columns are the labels (leading columns when
-    labels_last is False) and must parse to exactly 0 or 1.
+    labels_last is False) and must parse to exactly 0 or 1.  Every cell is
+    parsed by Python's float(); feature cells must be finite.
     """
     if label_count < 0:
         raise ValueError("label_count must be >= 0")
@@ -189,36 +193,54 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
     else:
         feat_idx = range(label_count, width)
         lab_idx = range(label_count)
-    X = np.empty((len(rows), len(feat_idx)))
-    Y = np.empty((len(rows), label_count), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for out_j, j in enumerate(feat_idx):
-            try:
-                X[i, out_j] = float(row[j])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {i + 2}, column {header[j]!r}: "
-                    f"cannot parse {row[j]!r} as a number"
-                ) from None
-        for out_j, j in enumerate(lab_idx):
-            try:
-                v = float(row[j])
-            except ValueError:
-                raise NonBinaryLabelError(
-                    f"{path}: row {i + 2}, label {header[j]!r}: "
-                    f"cannot parse {row[j]!r}"
-                ) from None
-            if v not in (0.0, 1.0):
-                raise NonBinaryLabelError(
-                    f"{path}: row {i + 2}, label {header[j]!r}: value {row[j]!r} is not 0 or 1"
-                )
-            Y[i, out_j] = int(v)
+    try:
+        cells = np.fromiter(
+            map(float, chain.from_iterable(rows)), float, len(rows) * width
+        ).reshape(len(rows), width)
+    except ValueError:
+        raise _first_bad_cell(path, header, rows, feat_idx, lab_idx) from None
+    Y = cells.take(lab_idx, axis=1)
+    if not np.all((Y == 0) | (Y == 1)):
+        raise _first_bad_cell(path, header, rows, feat_idx, lab_idx)
+    X = cells.take(feat_idx, axis=1)
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        i, j = int(bad[0, 0]), feat_idx[bad[0, 1]]
+        raise CsvFormatError(
+            f"{path}: row {i + 2}, column {header[j]!r}: value {rows[i][j]!r} is not finite"
+        )
     return Dataset(
         X,
-        Y,
+        Y.astype(np.int64),
         [header[j] for j in feat_idx],
         [header[j] for j in lab_idx],
     )
+
+
+def _first_bad_cell(path, header, rows, feat_idx, lab_idx) -> CsvFormatError:
+    """The error for the first cell, row by row and features before labels within
+    a row, that float() rejects or that is a label other than 0 or 1."""
+    for i, row in enumerate(rows):
+        for j in feat_idx:
+            try:
+                float(row[j])
+            except ValueError:
+                return CsvFormatError(
+                    f"{path}: row {i + 2}, column {header[j]!r}: "
+                    f"cannot parse {row[j]!r} as a number"
+                )
+        for j in lab_idx:
+            try:
+                v = float(row[j])
+            except ValueError:
+                return NonBinaryLabelError(
+                    f"{path}: row {i + 2}, label {header[j]!r}: cannot parse {row[j]!r}"
+                )
+            if v not in (0.0, 1.0):
+                return NonBinaryLabelError(
+                    f"{path}: row {i + 2}, label {header[j]!r}: value {row[j]!r} is not 0 or 1"
+                )
+    raise AssertionError("no bad cell found")
 
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:

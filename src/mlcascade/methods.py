@@ -334,9 +334,16 @@ def _br_to_dict(m: BRModel) -> dict:
     }
 
 
+def _linear_models(d: dict) -> list[LinearModel]:
+    models = d["models"]
+    if not isinstance(models, list) or not all(isinstance(md, dict) for md in models):
+        raise ValueError(f"field {d.path}.models must be a list of objects")
+    return [LinearModel.from_dict(md) for md in models]
+
+
 def _br_from_dict(d: dict) -> BRModel:
     return BRModel(
-        models=[LinearModel.from_dict(md) for md in d["models"]],
+        models=_linear_models(d),
         input_dim=d["input_dim"],
     )
 
@@ -351,7 +358,7 @@ def _cc_to_dict(m: CCModel) -> dict:
 
 def _cc_from_dict(d: dict) -> CCModel:
     return CCModel(
-        models=[LinearModel.from_dict(md) for md in d["models"]],
+        models=_linear_models(d),
         label_order=np.asarray(d["label_order"], dtype=np.int64),
         input_dim=d["input_dim"],
     )
@@ -396,6 +403,8 @@ def model_to_dict(model: Any) -> dict:
 
 
 def model_from_dict(d: dict) -> Any:
+    if not isinstance(d, _JsonObject):
+        d = _with_paths(d)
     kind = d["kind"]
     if kind == "br":
         return _br_from_dict(d)
@@ -455,7 +464,9 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     optional feature/label names and feature standardizer stored at save time.
 
     Raises ValueError for a file that is not a version-1 model document, and
-    names the JSON path of the first missing field."""
+    names the JSON path of the first missing field and of a "models" field
+    that is not a list of objects; a field of another wrong type is named by
+    the error numpy or Python raised for it."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":
@@ -474,4 +485,6 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
         model = model_from_dict(_with_paths(doc)["model"])
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+    except TypeError as e:
+        raise ValueError(f"{path}: a model field has the wrong type: {e}") from None
     return model, meta

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mlcascade import cli
 from mlcascade.cli import main
 from mlcascade.data import apply_standardizer, fit_standardizer, gen_logical, load_csv, save_csv
 from mlcascade.methods import MethodConfig, train_method
@@ -27,6 +28,15 @@ class TestGen:
               "--hidden", "5", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failing_writer_leaves_no_files(self, tmp_path, monkeypatch):
+        def failing_save_csv(dataset, path):
+            path.write_text("x1,x2,or\n0.0,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_csv", failing_save_csv)
+        assert main(["gen", "logical", "--out", str(tmp_path / "logical.csv")]) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_kind_is_usage_error(self, tmp_path):
         assert main(["gen", "fractal", "--out", str(tmp_path / "x.csv")]) == 1
 
@@ -49,6 +59,16 @@ class TestBench:
                      "--label-count", "2", "--out", str(tmp_path)])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_diverging_method_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "reports"
+        code = main(["bench", "--dataset", "logical", "--methods", "br",
+                     "--iters", "1", "--lr", "1e30", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mlcascade: data error: method 'br' failed on dataset "
+                              "'logical', iteration 0: training diverged at epoch ")
+        assert not out.exists()
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         code = main(["bench", "--dataset", "logical", "--methods", "svm",
@@ -163,6 +183,26 @@ class TestTrainPredict:
         model_doc["version"] = 99
         assert self._predict(tmp_path, model_doc, logical_csv) == 2
         assert "unsupported model version 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["meta"].update(models=5),
+         "field $.model.meta.models must be a list of objects"),
+        (lambda m: m.update(first_layer=5), "a model field has the wrong type: "),
+    ])
+    def test_wrong_type_model_field_is_data_error(self, tmp_path, logical_csv,
+                                                  model_doc, capsys, edit, message):
+        edit(model_doc["model"])
+        assert self._predict(tmp_path, model_doc, logical_csv) == 2
+        assert f"edited.json: {message}" in capsys.readouterr().err
+
+    def test_non_finite_feature_is_data_error(self, tmp_path, logical_csv, model_doc, capsys):
+        header, *rows = logical_csv.read_text().splitlines()
+        rows[2] = "nan," + rows[2].split(",", 1)[1]
+        data = tmp_path / "nan.csv"
+        data.write_text("\n".join([header, *rows]) + "\n")
+        assert self._predict(tmp_path, model_doc, data) == 2
+        assert "nan.csv: row 4, column 'x1': value 'nan' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_missing_model_field_is_data_error(self, tmp_path, logical_csv,
                                                model_doc, capsys):

@@ -1,5 +1,12 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcascade.data import (
     CsvFormatError,
@@ -17,6 +24,124 @@ from mlcascade.data import (
 )
 from mlcascade.logistic import TrainConfig
 from mlcascade.transforms import train_br
+
+
+def reference_save_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset as CSV: header row, features first, labels in the trailing columns."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset.feature_names + dataset.label_names)
+        for xi, yi in zip(dataset.X, dataset.Y):
+            writer.writerow([repr(float(v)) for v in xi] + [str(int(v)) for v in yi])
+
+
+def reference_load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Dataset:
+    """Read a numeric CSV with a header row into a Dataset.
+
+    The trailing label_count columns are the labels (leading columns when
+    labels_last is False) and must parse to exactly 0 or 1.
+    """
+    if label_count < 0:
+        raise ValueError("label_count must be >= 0")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: empty file") from None
+        rows = list(reader)
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    width = len(header)
+    if label_count > width:
+        raise CsvFormatError(f"{path}: label_count {label_count} exceeds {width} columns")
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise CsvFormatError(
+                f"{path}: row {i + 2} has {len(row)} cells, expected {width}"
+            )
+    if labels_last:
+        feat_idx = range(width - label_count)
+        lab_idx = range(width - label_count, width)
+    else:
+        feat_idx = range(label_count, width)
+        lab_idx = range(label_count)
+    X = np.empty((len(rows), len(feat_idx)))
+    Y = np.empty((len(rows), label_count), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for out_j, j in enumerate(feat_idx):
+            try:
+                X[i, out_j] = float(row[j])
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: row {i + 2}, column {header[j]!r}: "
+                    f"cannot parse {row[j]!r} as a number"
+                ) from None
+        for out_j, j in enumerate(lab_idx):
+            try:
+                v = float(row[j])
+            except ValueError:
+                raise NonBinaryLabelError(
+                    f"{path}: row {i + 2}, label {header[j]!r}: "
+                    f"cannot parse {row[j]!r}"
+                ) from None
+            if v not in (0.0, 1.0):
+                raise NonBinaryLabelError(
+                    f"{path}: row {i + 2}, label {header[j]!r}: value {row[j]!r} is not 0 or 1"
+                )
+            Y[i, out_j] = int(v)
+    return Dataset(
+        X,
+        Y,
+        [header[j] for j in feat_idx],
+        [header[j] for j in lab_idx],
+    )
+
+
+AWKWARD_CELLS = [" 1.5", "1_0", "+1e3", "-0", "nan", "inf", "", "abc", "2", "1.0"]
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows of cells: valid floats and 0/1 labels, with up to four
+    cells overwritten by awkward strings or by the repr of any float."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(0, 4))
+    n_labels = draw(st.integers(0, 3))
+    labels_last = draw(st.booleans())
+    any_float = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    feats = [[draw(st.floats(allow_nan=False, allow_infinity=False).map(repr))
+              for _ in range(d)] for _ in range(n)]
+    labs = [[draw(st.sampled_from(["0", "1"])) for _ in range(n_labels)] for _ in range(n)]
+    rows = [y + x if not labels_last else x + y for x, y in zip(feats, labs)]
+    names = [f"x{j + 1}" for j in range(d)]
+    label_names = [f"y{j + 1}" for j in range(n_labels)]
+    header = names + label_names if labels_last else label_names + names
+    if d + n_labels:
+        # Overwrites favour one row, so a row often holds a bad feature and a bad label.
+        bad_row = draw(st.integers(0, n - 1))
+        for _ in range(draw(st.integers(0, 4))):
+            i = draw(st.just(bad_row) | st.integers(0, n - 1))
+            j = draw(st.integers(0, d + n_labels - 1))
+            rows[i][j] = draw(st.sampled_from(AWKWARD_CELLS) | any_float)
+    return header, rows, n_labels, labels_last
+
+
+def _outcome(load, path, label_count, labels_last):
+    try:
+        return load(path, label_count, labels_last=labels_last)
+    except ValueError as e:
+        return e
+
+
+def _first_non_finite(header, rows, label_count, labels_last):
+    width = len(header)
+    feat_idx = range(width - label_count) if labels_last else range(label_count, width)
+    for i, row in enumerate(rows):
+        for j in feat_idx:
+            if not math.isfinite(float(row[j])):
+                return i, j
+    return None
 
 
 class TestDataset:
@@ -135,6 +260,71 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,b\n")
         with pytest.raises(CsvFormatError):
+            load_csv(p, label_count=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables())
+    def test_matches_reference_loader(self, table):
+        header, rows, label_count, labels_last = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header, *rows])
+            got = _outcome(load_csv, path, label_count, labels_last)
+            want = _outcome(reference_load_csv, path, label_count, labels_last)
+        if isinstance(want, Dataset):
+            assert isinstance(got, Dataset)
+            assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
+            assert got.X.flags.c_contiguous
+            assert got.Y.dtype == want.Y.dtype and np.array_equal(got.Y, want.Y)
+            assert got.feature_names == want.feature_names
+            assert got.label_names == want.label_names
+        elif str(want) == "features must be finite":
+            # The one message that changed: the first non-finite feature is named.
+            i, j = _first_non_finite(header, rows, label_count, labels_last)
+            assert type(got) is CsvFormatError
+            assert str(got) == (f"{path}: row {i + 2}, column {header[j]!r}: "
+                                f"value {rows[i][j]!r} is not finite")
+        else:
+            assert type(got) is type(want) and str(got) == str(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 3), st.data())
+    def test_save_load_round_trip_is_bit_exact(self, n, d, n_labels, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        X = np.array(data.draw(st.lists(st.lists(finite, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)))
+        Y = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n_labels,
+                                                 max_size=n_labels), min_size=n, max_size=n)),
+                     dtype=np.int64).reshape(n, n_labels)
+        ds = Dataset(X, Y)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = Path(tmp) / "d.csv", Path(tmp) / "ref.csv"
+            save_csv(ds, path)
+            reference_save_csv(ds, ref)
+            assert path.read_bytes() == ref.read_bytes()
+            loaded = load_csv(path, label_count=n_labels)
+        assert loaded.X.tobytes() == ds.X.tobytes()
+        assert np.array_equal(loaded.Y, ds.Y)
+
+    @pytest.mark.parametrize("text, labels_last", [
+        ("a,b,c\n0.5,1.5,1\n2,abc,7\n", True),
+        ("c,a,b\n1,0.5,1.5\n2,0.5,abc\n", False),
+    ])
+    def test_first_bad_cell_is_a_feature_before_a_label(self, tmp_path, text, labels_last):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(CsvFormatError) as want:
+            reference_load_csv(p, label_count=1, labels_last=labels_last)
+        with pytest.raises(CsvFormatError) as got:
+            load_csv(p, label_count=1, labels_last=labels_last)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert "column 'b': cannot parse 'abc'" in str(got.value)
+
+    def test_non_finite_feature_names_row_and_column(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b,c\n0.5,1.5,1\n-0.25,inf,0\nnan,1.0,1\n")
+        with pytest.raises(CsvFormatError, match=r"row 3, column 'b': value 'inf' is not finite"):
             load_csv(p, label_count=1)
 
     def test_round_trip_exact(self, tmp_path):
