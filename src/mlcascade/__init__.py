@@ -25,20 +25,16 @@ from .logistic import (
     TrainConfig,
     cross_entropy,
     cross_entropy_grad,
-    predict_bit,
-    predict_proba,
     sigmoid,
     train_logistic,
 )
 from .methods import (
     METHOD_NAMES,
     CCASLAMLModel,
-    CCASLBRModel,
     CCASLModel,
     ELMBRModel,
     MethodConfig,
     load_model,
-    predict,
     save_model,
     train_ccasl,
     train_ccasl_aml,
@@ -55,16 +51,12 @@ from .synth import (
     apply_projection,
     init_cascade,
     init_projection,
-    int_encode,
     sample_indicators,
 )
 from .transforms import (
     BRModel,
     CCModel,
     StackedModel,
-    predict_br,
-    predict_cc,
-    predict_stack,
     train_br,
     train_cc,
     train_stack,

@@ -94,19 +94,33 @@ def _method_config(args) -> MethodConfig:
     )
 
 
+def _generate(kind: str, args, seed: int) -> tuple[Dataset, dict]:
+    """A generated dataset from the --n, --d, --l and --hidden flags, and its manifest."""
+    if kind == "logical":
+        n = args.n if args.n is not None else 20
+        return gen_logical(n), {"kind": "logical", "n": n}
+    spec = SynthNetSpec(
+        D=args.d,
+        L=args.l,
+        N=args.n if args.n is not None else 2000,
+        hidden_units=args.hidden,
+        seed=seed,
+    )
+    manifest = {
+        "kind": "synthetic",
+        "n": spec.N,
+        "d": spec.D,
+        "l": spec.L,
+        "hidden": spec.hidden_units,
+        "seed": spec.seed,
+    }
+    return gen_synthetic(spec), manifest
+
+
 def _load_dataset(args) -> tuple[str, Dataset]:
     source = args.dataset
-    if source == "logical":
-        return "logical", gen_logical(args.n if args.n is not None else 20)
-    if source == "synthetic":
-        spec = SynthNetSpec(
-            D=args.d,
-            L=args.l,
-            N=args.n if args.n is not None else 2000,
-            hidden_units=args.hidden,
-            seed=args.gen_seed,
-        )
-        return "synthetic", gen_synthetic(spec)
+    if source in ("logical", "synthetic"):
+        return source, _generate(source, args, args.gen_seed)[0]
     path = Path(source)
     if path.suffix.lower() != ".csv":
         raise UsageError(
@@ -123,27 +137,7 @@ def _load_dataset(args) -> tuple[str, Dataset]:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    if args.kind == "logical":
-        n = args.n if args.n is not None else 20
-        dataset = gen_logical(n)
-        manifest = {"kind": "logical", "n": n}
-    else:
-        spec = SynthNetSpec(
-            D=args.d,
-            L=args.l,
-            N=args.n if args.n is not None else 2000,
-            hidden_units=args.hidden,
-            seed=args.seed,
-        )
-        dataset = gen_synthetic(spec)
-        manifest = {
-            "kind": "synthetic",
-            "n": spec.N,
-            "d": spec.D,
-            "l": spec.L,
-            "hidden": spec.hidden_units,
-            "seed": spec.seed,
-        }
+    dataset, manifest = _generate(args.kind, args, args.seed)
     with _atomic_file(out) as tmp:
         save_csv(dataset, tmp)
     manifest_path = _write_manifest(out, manifest)

@@ -10,12 +10,13 @@ score both metrics on the test side.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, apply_standardizer, fit_standardizer, shuffle_labels, shuffle_split
-from .methods import MethodConfig, train_method, with_seed
+from .logistic import as_rows
+from .methods import MethodConfig, train_method
 from .transforms import BRModel
 
 MAX_ENUMERATION_LABELS = 12
@@ -71,9 +72,7 @@ def equivalence_oracle(br_model: BRModel, test_X: np.ndarray) -> bool:
     L = br_model.n_labels
     if L > MAX_ENUMERATION_LABELS:
         raise ValueError(f"enumeration over 2^{L} vectors refused (limit 2^{MAX_ENUMERATION_LABELS})")
-    test_X = np.asarray(test_X, dtype=float)
-    if test_X.ndim == 1:
-        test_X = test_X[None, :]
+    test_X, _ = as_rows(test_X, br_model.input_dim)
     probs = br_model.predict_proba(test_X)
     marginal = br_model.predict(test_X)
     codes = (np.arange(2**L)[:, None] >> np.arange(L - 1, -1, -1)) & 1
@@ -215,7 +214,7 @@ def run_experiment(
             train_s = apply_standardizer(scaler, train)
             test_s = apply_standardizer(scaler, test)
             for k, (name, cfg) in enumerate(specs):
-                cfg_k = with_seed(cfg, derive_seed(master_seed, d, it, 2 + k))
+                cfg_k = replace(cfg, seed=derive_seed(master_seed, d, it, 2 + k))
                 try:
                     model = train_method(name, train_s, cfg_k)
                     pred = model.predict(test_s.X)

@@ -61,8 +61,9 @@ class LinearModel:
 
     def activation(self, x: np.ndarray) -> np.ndarray | float:
         """Bias plus dot product; accepts one vector or a matrix of rows."""
-        x = _check_features(x, self.input_dim)
-        return self.weights[0] + x @ self.weights[1:]
+        X, single = as_rows(x, self.input_dim)
+        a = self.weights[0] + X @ self.weights[1:]
+        return a[0] if single else a
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray | float:
         return sigmoid(self.activation(x))
@@ -93,13 +94,18 @@ def _clamp(a, lo=-ACTIVATION_CLAMP, hi=ACTIVATION_CLAMP, out=None):
     return np.minimum(np.maximum(a, lo, out=out), hi, out=out)
 
 
-def _check_features(x: np.ndarray, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"feature input must be 1-D or 2-D, got ndim={x.ndim}")
-    if x.shape[-1] != dim:
-        raise ValueError(f"feature dimension {x.shape[-1]} != model input_dim {dim}")
-    return x
+def as_rows(x, dim: int, dtype=float) -> tuple[np.ndarray, bool]:
+    """x as a 2-D matrix of rows of width dim, and whether x was one 1-D row.
+
+    Every predict and apply function takes one row or a matrix of rows through
+    this and returns out[0] for a single row."""
+    X = np.asarray(x, dtype=dtype)
+    single = X.ndim == 1
+    if single:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"expected rows of width {dim}, got shape {np.shape(x)}")
+    return X, single
 
 
 def _check_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +218,3 @@ def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = No
     # -0.0, and nw holds +0.0 for it.
     return LinearModel(weights=np.concatenate(([b], 0.0 - nw)), input_dim=d)
 
-
-def predict_proba(model: LinearModel, x: np.ndarray) -> np.ndarray | float:
-    proba = model.predict_proba(x)
-    return float(proba) if np.ndim(proba) == 0 else proba
-
-
-def predict_bit(model: LinearModel, x: np.ndarray) -> np.ndarray | int:
-    return model.predict_bit(x)

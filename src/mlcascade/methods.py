@@ -13,14 +13,14 @@ elm     flat random projection appended to x, then binary relevance
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ClassVar
 
 import numpy as np
 
 from .data import Dataset
-from .logistic import LinearModel, TrainConfig
+from .logistic import LinearModel, TrainConfig, as_rows
 from .synth import (
     LabelIndicatorSet,
     RandomProjection,
@@ -32,7 +32,7 @@ from .synth import (
     init_projection,
     sample_indicators,
 )
-from .transforms import BRModel, CCModel, StackedModel, train_br, train_cc
+from .transforms import BRModel, CCModel, StackedModel, train_br, train_cc, train_stack
 
 METHOD_NAMES = ("br", "cc", "ccasl", "ccasl+br", "ccasl+aml", "elm")
 
@@ -97,20 +97,11 @@ class CCASLModel:
         return self.chain.input_dim
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+        X, single = as_rows(x, self.input_dim)
         prefix = apply_cascade(self.cascade, X) if self.cascade_at_test else None
         full = self.chain.predict(X, prefix=prefix)
         out = full[:, self.n_synthetic :]
         return out[0] if single else out
-
-
-@dataclass
-class CCASLBRModel(StackedModel):
-    """ccasl regularized by a meta binary-relevance layer with a skip to x."""
-
-    kind: ClassVar[str] = "ccasl+br"
 
 
 @dataclass
@@ -139,9 +130,7 @@ class CCASLAMLModel:
         return self.middle.predict(X, prefix=prefix)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+        X, single = as_rows(x, self.input_dim)
         bits = self.middle_bits(X)
         out = self.output.predict(np.hstack([X, bits.astype(float)]))
         return out[0] if single else out
@@ -165,9 +154,7 @@ class ELMBRModel:
         return self.projection.D
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+        X, single = as_rows(x, self.input_dim)
         Z = apply_projection(self.projection, X)
         out = self.br.predict(np.hstack([X, Z.astype(float)]))
         return out[0] if single else out
@@ -199,22 +186,10 @@ def train_ccasl(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLModel
     )
 
 
-def predict_ccasl(model: CCASLModel, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)
-
-
-def train_ccasl_br(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLBRModel:
+def train_ccasl_br(dataset: Dataset, cfg: MethodConfig | None = None) -> StackedModel:
     """ccasl first, then a meta binary-relevance layer on [x, its training predictions]."""
     cfg = cfg or MethodConfig()
-    first = train_ccasl(dataset, cfg)
-    first_bits = first.predict(dataset.X)
-    meta_data = Dataset(
-        np.hstack([dataset.X, first_bits.astype(float)]),
-        dataset.Y,
-        label_names=list(dataset.label_names),
-    )
-    meta = train_br(meta_data, cfg.base)
-    return CCASLBRModel(first_layer=first, meta=meta, input_dim=dataset.n_features)
+    return train_stack(dataset, lambda ds: train_ccasl(ds, cfg), cfg.base)
 
 
 def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLAMLModel:
@@ -293,19 +268,22 @@ def train_method(name: str, dataset: Dataset, cfg: MethodConfig | None = None):
     return _TRAINERS[name](dataset, cfg or MethodConfig())
 
 
-def predict(model: Any, x: np.ndarray) -> np.ndarray:
-    """Uniform prediction entry point: a length-L bit vector per input row."""
-    return model.predict(x)
-
-
-def with_seed(cfg: MethodConfig, seed: int) -> MethodConfig:
-    """Copy of cfg with the method seed set."""
-    return replace(cfg, seed=seed)
-
-
 # --- JSON serialization -----------------------------------------------------
 
 MODEL_VERSION = 1
+
+
+# The scalar fields of a model document, wherever they occur, and the JSON
+# type each must have.  The type is tested exactly, so true and false are not
+# integers here although Python's bool is a subclass of int.
+_SCALAR_FIELDS = {
+    "kind": (str, "a string"),
+    "cascade_at_test": (bool, "true or false"),
+    "input_dim": (int, "an integer"),
+    "n_labels": (int, "an integer"),
+    "D": (int, "an integer"),
+    "H": (int, "an integer"),
+}
 
 
 class _JsonObject(dict):
@@ -316,8 +294,14 @@ class _JsonObject(dict):
 
 
 def _with_paths(node: Any, path: str = "$") -> Any:
-    """Copy of a parsed JSON document whose objects are _JsonObjects."""
+    """Copy of a parsed JSON document whose objects are _JsonObjects.
+
+    Raises ValueError naming the path of a scalar field of the wrong type."""
     if isinstance(node, dict):
+        for k, v in node.items():
+            want, name = _SCALAR_FIELDS.get(k, (type(v), ""))
+            if type(v) is not want:
+                raise ValueError(f"field {path}.{k} must be {name}, got {json.dumps(v)}")
         obj = _JsonObject((k, _with_paths(v, f"{path}.{k}")) for k, v in node.items())
         obj.path = path
         return obj
@@ -378,7 +362,7 @@ def model_to_dict(model: Any) -> dict:
             "n_labels": model.n_labels,
             "cascade_at_test": model.cascade_at_test,
         }
-    elif kind in ("ccasl+br", "stack"):
+    elif isinstance(model, StackedModel):
         body = {
             "first_layer": model_to_dict(model.first_layer),
             "meta": _br_to_dict(model.meta),
@@ -417,10 +401,13 @@ def model_from_dict(d: dict) -> Any:
             n_labels=d["n_labels"],
             cascade_at_test=d["cascade_at_test"],
         )
-    if kind in ("ccasl+br", "stack"):
-        cls = CCASLBRModel if kind == "ccasl+br" else StackedModel
-        return cls(
-            first_layer=model_from_dict(d["first_layer"]),
+    if kind == "stack" or kind.endswith("+br"):
+        first = model_from_dict(d["first_layer"])
+        if kind not in ("stack", first.kind + "+br"):
+            raise ValueError(
+                f"field {d.path}.kind {kind!r} does not fit first layer {first.kind!r}")
+        return StackedModel(
+            first_layer=first,
             meta=_br_from_dict(d["meta"]),
             input_dim=d["input_dim"],
         )
@@ -464,9 +451,9 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     optional feature/label names and feature standardizer stored at save time.
 
     Raises ValueError for a file that is not a version-1 model document, and
-    names the JSON path of the first missing field and of a "models" field
-    that is not a list of objects; a field of another wrong type is named by
-    the error numpy or Python raised for it."""
+    names the JSON path of the first missing field, of a scalar field of the
+    wrong type and of a "models" field that is not a list of objects; a field
+    of another wrong type is named by the error numpy or Python raised for it."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":

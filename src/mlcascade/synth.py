@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .logistic import as_rows
+
 WEIGHT_STD = 0.2          # scale of the random unit weights
 KEEP_PROB = 0.9           # each weight survives masking with this probability
 THRESHOLD_NOISE = 0.1     # threshold jitter as a fraction of the activation std
@@ -93,7 +95,8 @@ class RandomProjection:
         return cls(
             D=d["D"],
             H=d["H"],
-            weights=np.asarray(d["weights"], dtype=float),
+            # An H = 0 projection saves its weights as [], which reads back as shape (0,).
+            weights=np.asarray(d["weights"], dtype=float).reshape(-1, d["D"]),
             thresholds=np.asarray(d["thresholds"], dtype=float),
             seed=d.get("seed", 0),
         )
@@ -146,16 +149,6 @@ class LabelIndicatorSet:
         )
 
 
-def _check_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"expected feature dimension {dim}, got shape {x.shape}")
-    return x, single
-
-
 def init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
     """Build a cascade of H random threshold units against a training matrix.
 
@@ -191,7 +184,7 @@ def init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
 
 def apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
     """Evaluate the cascade: unit k reads [x, z_1..z_{k-1}] and fires on a > t."""
-    X, single = _check_rows(x, cascade.D)
+    X, single = as_rows(x, cascade.D)
     n = X.shape[0]
     Z = np.zeros((n, cascade.H), dtype=np.int64)
     inputs = X
@@ -225,23 +218,9 @@ def init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
 
 
 def apply_projection(proj: RandomProjection, x: np.ndarray) -> np.ndarray:
-    X, single = _check_rows(x, proj.D)
+    X, single = as_rows(x, proj.D)
     Z = (X @ proj.weights.T > proj.thresholds).astype(np.int64)
     return Z[0] if single else Z
-
-
-def int_encode(bits) -> int:
-    """Integer value of a bit sequence, leftmost bit most significant."""
-    bits = list(bits)
-    if not bits:
-        raise ValueError("cannot encode an empty bit sequence")
-    value = 0
-    for b in bits:
-        b = int(b)
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b}")
-        value = (value << 1) | b
-    return value
 
 
 def sample_indicators(
@@ -277,12 +256,7 @@ def sample_indicators(
 
 def apply_indicators(indicators: LabelIndicatorSet, y: np.ndarray) -> np.ndarray:
     """Evaluate every indicator node on a label vector (or a matrix of rows)."""
-    y = np.asarray(y, dtype=np.int64)
-    single = y.ndim == 1
-    if single:
-        y = y[None, :]
-    if y.ndim != 2 or y.shape[1] != indicators.n_labels:
-        raise ValueError(f"expected {indicators.n_labels} labels, got shape {y.shape}")
+    y, single = as_rows(y, indicators.n_labels, np.int64)
     out = np.zeros((y.shape[0], indicators.n_nodes), dtype=np.int64)
     for k, (s, c) in enumerate(zip(indicators.subsets, indicators.codes)):
         powers = 1 << np.arange(len(s) - 1, -1, -1)

@@ -14,17 +14,7 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from .data import Dataset
-from .logistic import LinearModel, TrainConfig, train_logistic
-
-
-def _as_matrix(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"expected feature dimension {dim}, got shape {x.shape}")
-    return x, single
+from .logistic import LinearModel, TrainConfig, as_rows, train_logistic
 
 
 @dataclass
@@ -46,12 +36,12 @@ class BRModel:
         return len(self.models)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        X, single = _as_matrix(x, self.input_dim)
+        X, single = as_rows(x, self.input_dim)
         out = np.column_stack([m.predict_bit(X) for m in self.models])
         return out[0] if single else out
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        X, single = _as_matrix(x, self.input_dim)
+        X, single = as_rows(x, self.input_dim)
         out = np.column_stack([m.predict_proba(X) for m in self.models])
         return out[0] if single else out
 
@@ -93,7 +83,7 @@ class CCModel:
         first prefix.shape[1] chain positions (they are taken as known bits
         instead of being predicted).
         """
-        X, single = _as_matrix(x, self.input_dim)
+        X, single = as_rows(x, self.input_dim)
         n = X.shape[0]
         L = self.n_labels
         chain_bits = np.zeros((n, L))
@@ -118,24 +108,28 @@ class CCModel:
 
 @dataclass
 class StackedModel:
-    """A first layer plus a meta binary-relevance layer over [x, first-layer bits]."""
+    """A first layer plus a meta binary-relevance layer over [x, first-layer bits].
+
+    Its kind, under which it is saved, is the first layer's plus "+br"."""
 
     first_layer: Any
     meta: BRModel
     input_dim: int = field(default=-1)
-
-    kind: ClassVar[str] = "stack"
 
     def __post_init__(self) -> None:
         if self.input_dim < 0:
             self.input_dim = self.meta.input_dim - self.first_layer.n_labels
 
     @property
+    def kind(self) -> str:
+        return self.first_layer.kind + "+br"
+
+    @property
     def n_labels(self) -> int:
         return self.meta.n_labels
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        X, single = _as_matrix(x, self.input_dim)
+        X, single = as_rows(x, self.input_dim)
         first = self.first_layer.predict(X)
         out = self.meta.predict(np.hstack([X, first.astype(float)]))
         return out[0] if single else out
@@ -148,10 +142,6 @@ def train_br(dataset: Dataset, config: TrainConfig | None = None) -> BRModel:
         for j in range(dataset.n_labels)
     ]
     return BRModel(models=models, input_dim=dataset.n_features)
-
-
-def predict_br(model: BRModel, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)
 
 
 def train_cc(
@@ -179,10 +169,6 @@ def train_cc(
     return CCModel(models=models, label_order=order, input_dim=dataset.n_features)
 
 
-def predict_cc(model: CCModel, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)
-
-
 def train_stack(
     dataset: Dataset,
     first_layer_trainer: Callable[[Dataset], Any],
@@ -203,7 +189,3 @@ def train_stack(
     )
     meta = train_br(meta_data, config)
     return StackedModel(first_layer=first, meta=meta, input_dim=dataset.n_features)
-
-
-def predict_stack(model: StackedModel, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)

@@ -195,6 +195,23 @@ class TestTrainPredict:
         assert self._predict(tmp_path, model_doc, logical_csv) == 2
         assert f"edited.json: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["first_layer"].update(cascade_at_test="false"),
+         'field $.model.first_layer.cascade_at_test must be true or false, got "false"'),
+        (lambda m: m["first_layer"].update(n_labels="3"),
+         'field $.model.first_layer.n_labels must be an integer, got "3"'),
+        (lambda m: m["first_layer"]["chain"].update(input_dim=2.0),
+         "field $.model.first_layer.chain.input_dim must be an integer, got 2.0"),
+        (lambda m: m["first_layer"]["cascade"].update(D=True),
+         "field $.model.first_layer.cascade.D must be an integer, got true"),
+    ])
+    def test_wrong_type_scalar_field_is_data_error(self, tmp_path, logical_csv,
+                                                   model_doc, capsys, edit, message):
+        edit(model_doc["model"])
+        assert self._predict(tmp_path, model_doc, logical_csv) == 2
+        assert f"edited.json: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_non_finite_feature_is_data_error(self, tmp_path, logical_csv, model_doc, capsys):
         header, *rows = logical_csv.read_text().splitlines()
         rows[2] = "nan," + rows[2].split(",", 1)[1]

@@ -11,8 +11,6 @@ from mlcascade.logistic import (
     TrainConfig,
     cross_entropy,
     cross_entropy_grad,
-    predict_bit,
-    predict_proba,
     sigmoid,
     train_logistic,
 )
@@ -247,24 +245,24 @@ class TestBitExactness:
 class TestPredict:
     def test_zero_weights_give_half(self):
         model = LinearModel(np.zeros(3))
-        assert predict_proba(model, np.array([7.0, -4.0])) == 0.5
+        assert model.predict_proba(np.array([7.0, -4.0])) == 0.5
 
     def test_orthogonal_input(self):
         model = LinearModel(np.array([0.0, 1.0, 0.0]))
-        assert predict_proba(model, np.array([0.0, 5.0])) == 0.5
+        assert model.predict_proba(np.array([0.0, 5.0])) == 0.5
 
     def test_activation_cancels_to_half(self):
         model = LinearModel(np.array([-1.0, 2.0]))
-        assert predict_proba(model, np.array([0.5])) == 0.5
+        assert model.predict_proba(np.array([0.5])) == 0.5
 
     def test_bit_tie_goes_to_one(self):
         model = LinearModel(np.zeros(2))
-        assert predict_bit(model, np.array([3.0])) == 1
+        assert model.predict_bit(np.array([3.0])) == 1
 
     def test_bit_around_half(self):
         model = LinearModel(np.array([0.0, 1.0]))
-        assert predict_bit(model, np.array([-0.04])) == 0  # proba ~0.49
-        assert predict_bit(model, np.array([0.04])) == 1   # proba ~0.51
+        assert model.predict_bit(np.array([-0.04])) == 0  # proba ~0.49
+        assert model.predict_bit(np.array([0.04])) == 1   # proba ~0.51
 
     def test_bit_matches_activation_sign(self):
         rng = np.random.default_rng(5)
@@ -277,7 +275,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         model = LinearModel(np.zeros(3))
         with pytest.raises(ValueError):
-            predict_proba(model, np.ones(5))
+            model.predict_proba(np.ones(5))
 
 
 class TestTrainConfig:

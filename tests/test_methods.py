@@ -10,7 +10,6 @@ from mlcascade.methods import (
     load_model,
     model_from_dict,
     model_to_dict,
-    predict,
     save_model,
     train_ccasl,
     train_ccasl_aml,
@@ -176,10 +175,10 @@ class TestUniformContract:
     def test_predict_shape_and_bits(self, name, small_random):
         train, test = shuffle_split(small_random, 0.6, seed=4)
         model = train_method(name, train, MethodConfig(seed=11))
-        out = predict(model, test.X)
+        out = model.predict(test.X)
         assert out.shape == (test.n_rows, train.n_labels)
         assert set(np.unique(out)) <= {0, 1}
-        single = predict(model, test.X[0])
+        single = model.predict(test.X[0])
         assert np.array_equal(single, out[0])
 
     def test_unknown_method_rejected(self, small_random):
@@ -193,8 +192,16 @@ class TestUniformContract:
         save_model(model, path, label_names=small_random.label_names)
         clone, meta = load_model(path)
         probe = np.random.default_rng(13).normal(size=(25, small_random.n_features))
-        assert np.array_equal(predict(model, probe), predict(clone, probe))
+        assert np.array_equal(model.predict(probe), clone.predict(probe))
         assert meta["label_names"] == small_random.label_names
+
+    def test_stacked_kind_comes_from_the_first_layer(self, small_random):
+        d = model_to_dict(train_method("ccasl+br", small_random, MethodConfig(seed=14)))
+        assert d["kind"] == "ccasl+br"
+        # Earlier versions saved a stack built outside train_method as "stack".
+        assert model_from_dict({**d, "kind": "stack"}).kind == "ccasl+br"
+        with pytest.raises(ValueError, match=r"\$.kind 'cc\+br' does not fit first layer 'ccasl'"):
+            model_from_dict({**d, "kind": "cc+br"})
 
     def test_dict_round_trip_is_stable(self, small_random):
         model = train_method("ccasl+aml", small_random, MethodConfig(seed=14))

@@ -14,9 +14,23 @@ from mlcascade.synth import (
     apply_projection,
     init_cascade,
     init_projection,
-    int_encode,
     sample_indicators,
 )
+
+
+def int_encode(bits) -> int:
+    """Integer value of a bit sequence, leftmost bit most significant: the
+    oracle for the indicator codes."""
+    bits = list(bits)
+    if not bits:
+        raise ValueError("cannot encode an empty bit sequence")
+    value = 0
+    for b in bits:
+        b = int(b)
+        if b not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1, got {b}")
+        value = (value << 1) | b
+    return value
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +168,12 @@ class TestProjection:
         clone = RandomProjection.from_dict(proj.to_dict())
         probe = np.random.default_rng(5).normal(size=(8, 4))
         assert np.array_equal(apply_projection(proj, probe), apply_projection(clone, probe))
+
+    def test_empty_projection_json_round_trip(self, train_X):
+        proj = init_projection(train_X, 0, seed=2)
+        clone = RandomProjection.from_dict(proj.to_dict())
+        assert clone.weights.shape == (0, 4)
+        assert apply_projection(clone, train_X).shape == (50, 0)
 
 
 class TestIntEncode:

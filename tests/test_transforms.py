@@ -7,9 +7,6 @@ from mlcascade.logistic import LinearModel, train_logistic
 from mlcascade.transforms import (
     BRModel,
     CCModel,
-    predict_br,
-    predict_cc,
-    predict_stack,
     train_br,
     train_cc,
     train_stack,
@@ -47,14 +44,14 @@ class TestBinaryRelevance:
     def test_dim_mismatch(self, logical):
         br = train_br(logical)
         with pytest.raises(ValueError):
-            predict_br(br, np.ones(5))
+            br.predict(np.ones(5))
 
     def test_single_feature_sanity(self):
         up = LinearModel(np.array([0.0, 1.0]))
         br = BRModel([up], input_dim=1)
-        assert predict_br(br, np.array([0.5]))[0] == 1
-        assert predict_br(br, np.array([-0.5]))[0] == 0
-        assert predict_br(br, np.array([0.0]))[0] == 1  # tie rule
+        assert br.predict(np.array([0.5]))[0] == 1
+        assert br.predict(np.array([-0.5]))[0] == 0
+        assert br.predict(np.array([0.0]))[0] == 1  # tie rule
 
     def test_relabeling_invariance(self, random_binary_dataset):
         ds = random_binary_dataset
@@ -75,7 +72,7 @@ class TestClassifierChain:
         cc = train_cc(ds)
         br = train_br(ds)
         assert np.array_equal(cc.models[0].weights, br.models[0].weights)
-        assert np.array_equal(predict_cc(cc, ds.X), br.predict(ds.X))
+        assert np.array_equal(cc.predict(ds.X), br.predict(ds.X))
 
     def test_invalid_permutation(self, logical):
         with pytest.raises(ValueError):
@@ -86,14 +83,14 @@ class TestClassifierChain:
         cc = train_cc(logical, [0, 1, 2])
         combos = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         truth = np.array([[0, 0, 0], [1, 0, 1], [1, 0, 1], [1, 1, 0]])
-        assert np.array_equal(predict_cc(cc, combos), truth)
+        assert np.array_equal(cc.predict(combos), truth)
 
     def test_logical_chain_fails_with_xor_first(self, logical):
         scores = []
         for seed in range(10):
             tr, te = shuffle_split(logical, 0.6, seed)
             cc = train_cc(tr, [2, 1, 0])
-            scores.append(exact_match(te.Y, predict_cc(cc, te.X)))
+            scores.append(exact_match(te.Y, cc.predict(te.X)))
         assert 0.2 <= np.mean(scores) <= 0.8
 
     def test_constant_zero_chain_predicts_zero_vector(self):
@@ -103,7 +100,7 @@ class TestClassifierChain:
         ]
         cc = CCModel(models, label_order=np.arange(3), input_dim=2)
         rng = np.random.default_rng(1)
-        assert not predict_cc(cc, rng.normal(size=(10, 2))).any()
+        assert not cc.predict(rng.normal(size=(10, 2))).any()
 
     def test_chain_position_dims(self, logical):
         cc = train_cc(logical)
@@ -115,7 +112,7 @@ class TestClassifierChain:
         cc_rev = train_cc(logical, [1, 0, 2])
         # Both orders solve the task, so outputs agree label-for-label.
         combos = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(predict_cc(cc_fwd, combos), predict_cc(cc_rev, combos))
+        assert np.array_equal(cc_fwd.predict(combos), cc_rev.predict(combos))
 
     def test_prefix_substitutes_known_bits(self, logical):
         cc = train_cc(logical, [0, 1, 2])
@@ -154,13 +151,13 @@ class _ConstantZeros:
 class TestStacking:
     def test_perfect_first_layer_reaches_perfect_training_match(self, logical):
         stacked = train_stack(logical, lambda ds: _TruthLookup(ds))
-        assert exact_match(logical.Y, predict_stack(stacked, logical.X)) == 1.0
+        assert exact_match(logical.Y, stacked.predict(logical.X)) == 1.0
 
     def test_constant_zero_first_layer_equals_plain_br(self, logical):
         # All-zero appended columns never influence gradient descent.
         stacked = train_stack(logical, lambda ds: _ConstantZeros(ds.n_labels))
         br = train_br(logical)
-        assert np.array_equal(predict_stack(stacked, logical.X), br.predict(logical.X))
+        assert np.array_equal(stacked.predict(logical.X), br.predict(logical.X))
 
     def test_single_label_collapse(self, random_binary_dataset):
         ds = Dataset(random_binary_dataset.X, random_binary_dataset.Y[:, :1])
@@ -169,8 +166,8 @@ class TestStacking:
         stacked = train_stack(ds, lambda d: _ConstantZeros(1))
         rng = np.random.default_rng(2)
         X = rng.normal(size=(25, ds.n_features))
-        assert np.array_equal(br.predict(X), predict_cc(cc, X))
-        assert np.array_equal(br.predict(X), predict_stack(stacked, X))
+        assert np.array_equal(br.predict(X), cc.predict(X))
+        assert np.array_equal(br.predict(X), stacked.predict(X))
 
     def test_meta_layer_input_dim(self, logical):
         stacked = train_stack(logical, lambda ds: _ConstantZeros(ds.n_labels))
