@@ -253,13 +253,17 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
                    help="number of label columns in a CSV dataset")
     p.add_argument("--labels-first", action="store_true",
                    help="labels occupy the leading CSV columns instead of the trailing ones")
+    _add_generator_flags(p)
+    p.add_argument("--gen-seed", type=int, default=DEFAULT_SEED,
+                   help="seed for a generated dataset")
+
+
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="rows for a generated dataset")
     p.add_argument("--d", type=int, default=10, help="features for the synthetic generator")
     p.add_argument("--l", type=int, default=10, help="labels for the synthetic generator")
     p.add_argument("--hidden", type=int, default=100,
                    help="hidden units for the synthetic generator (0 = linear)")
-    p.add_argument("--gen-seed", type=int, default=DEFAULT_SEED,
-                   help="seed for a generated dataset")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
@@ -282,10 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a dataset CSV plus a manifest")
     p_gen.add_argument("kind", choices=["logical", "synthetic"])
-    p_gen.add_argument("--n", type=int, default=None, help="number of rows")
-    p_gen.add_argument("--d", type=int, default=10)
-    p_gen.add_argument("--l", type=int, default=10)
-    p_gen.add_argument("--hidden", type=int, default=100)
+    _add_generator_flags(p_gen)
     p_gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.set_defaults(func=cmd_gen)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, ClassVar
 
 import numpy as np
 
 from .data import Dataset
-from .logistic import LinearModel, TrainConfig, as_rows
+from .logistic import LinearModel, TrainConfig
 from .synth import (
     LabelIndicatorSet,
     RandomProjection,
@@ -32,7 +33,8 @@ from .synth import (
     init_projection,
     sample_indicators,
 )
-from .transforms import BRModel, CCModel, StackedModel, train_br, train_cc, train_stack
+from .transforms import (BRModel, CCModel, StackedModel, train_br, train_br_over, train_cc,
+                         train_stack)
 
 METHOD_NAMES = ("br", "cc", "ccasl", "ccasl+br", "ccasl+aml", "elm")
 
@@ -97,11 +99,8 @@ class CCASLModel:
         return self.chain.input_dim
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        X, single = as_rows(x, self.input_dim)
-        prefix = apply_cascade(self.cascade, X) if self.cascade_at_test else None
-        full = self.chain.predict(X, prefix=prefix)
-        out = full[:, self.n_synthetic :]
-        return out[0] if single else out
+        bits = _chain_bits(self.cascade, self.chain, self.cascade_at_test, x)
+        return bits[..., self.n_synthetic :]
 
 
 @dataclass
@@ -126,14 +125,10 @@ class CCASLAMLModel:
         return self.middle.input_dim
 
     def middle_bits(self, X: np.ndarray) -> np.ndarray:
-        prefix = apply_cascade(self.cascade, X) if self.cascade_at_test else None
-        return self.middle.predict(X, prefix=prefix)
+        return _chain_bits(self.cascade, self.middle, self.cascade_at_test, X)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        X, single = as_rows(x, self.input_dim)
-        bits = self.middle_bits(X)
-        out = self.output.predict(np.hstack([X, bits.astype(float)]))
-        return out[0] if single else out
+        return self.output.predict(np.hstack([x, self.middle_bits(x).astype(float)]))
 
 
 @dataclass
@@ -154,19 +149,27 @@ class ELMBRModel:
         return self.projection.D
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        X, single = as_rows(x, self.input_dim)
-        Z = apply_projection(self.projection, X)
-        out = self.br.predict(np.hstack([X, Z.astype(float)]))
-        return out[0] if single else out
+        return self.br.predict(np.hstack([x, apply_projection(self.projection, x).astype(float)]))
 
 
-def _augmented_chain_dataset(dataset: Dataset, Z: np.ndarray, names: list[str]) -> Dataset:
-    return Dataset(
-        dataset.X,
-        np.hstack([Z, dataset.Y]),
-        list(dataset.feature_names),
-        names + list(dataset.label_names),
-    )
+def _chain_bits(cascade: TLUCascade, chain: CCModel, cascade_at_test: bool,
+                X: np.ndarray) -> np.ndarray:
+    """The chain's bits on the rows X; its first cascade.H positions are the
+    cascade's own bits when cascade_at_test, else predicted like the rest."""
+    prefix = apply_cascade(cascade, X) if cascade_at_test else None
+    return chain.predict(X, prefix=prefix)
+
+
+def _train_cascade_chain(dataset: Dataset, cfg: MethodConfig, H: int, extra: np.ndarray,
+                         extra_names: list[str]) -> tuple[TLUCascade, CCModel]:
+    """Fit an H-unit cascade on the training features, compute its bits Z for
+    every training row, and train a chain over the targets [Z, extra] in
+    column order."""
+    cascade = init_cascade(dataset.X, H, cfg.seed)
+    Z = apply_cascade(cascade, dataset.X)
+    targets = Dataset(dataset.X, np.hstack([Z, extra]), list(dataset.feature_names),
+                      [f"z{k + 1}" for k in range(H)] + extra_names)
+    return cascade, train_cc(targets, None, cfg.base)
 
 
 def train_ccasl(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLModel:
@@ -174,10 +177,7 @@ def train_ccasl(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLModel
     every training row, and train a chain over [bits, labels] in column order."""
     cfg = cfg or MethodConfig()
     H = cfg.resolve_h(dataset.n_labels, "ccasl")
-    cascade = init_cascade(dataset.X, H, cfg.seed)
-    Z = apply_cascade(cascade, dataset.X)
-    aug = _augmented_chain_dataset(dataset, Z, [f"z{k + 1}" for k in range(H)])
-    chain = train_cc(aug, None, cfg.base)
+    cascade, chain = _train_cascade_chain(dataset, cfg, H, dataset.Y, dataset.label_names)
     return CCASLModel(
         cascade=cascade,
         chain=chain,
@@ -202,29 +202,17 @@ def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLA
     """
     cfg = cfg or MethodConfig()
     L = dataset.n_labels
-    H = cfg.resolve_h(L, "ccasl+aml")
     Hp = cfg.resolve_h_prime(L)
-    cascade = init_cascade(dataset.X, H, cfg.seed)
-    Z = apply_cascade(cascade, dataset.X)
-    subset_size = min(cfg.subset_size, L)
-    indicators = sample_indicators(dataset.Y, Hp, subset_size, cfg.seed + 1)
-    Phi = apply_indicators(indicators, dataset.Y)
-    names = [f"z{k + 1}" for k in range(H)] + [f"phi{k + 1}" for k in range(Hp)]
-    middle_targets = np.hstack([Z, Phi])
-    middle_data = Dataset(dataset.X, middle_targets, list(dataset.feature_names), names)
-    middle = train_cc(middle_data, None, cfg.base)
-    prefix = Z if cfg.cascade_at_test else None
-    middle_hat = middle.predict(dataset.X, prefix=prefix)
-    out_data = Dataset(
-        np.hstack([dataset.X, middle_hat.astype(float)]),
-        dataset.Y,
-        label_names=list(dataset.label_names),
-    )
+    indicators = sample_indicators(dataset.Y, Hp, min(cfg.subset_size, L), cfg.seed + 1)
+    cascade, middle = _train_cascade_chain(
+        dataset, cfg, cfg.resolve_h(L, "ccasl+aml"), apply_indicators(indicators, dataset.Y),
+        [f"phi{k + 1}" for k in range(Hp)])
+    middle_hat = _chain_bits(cascade, middle, cfg.cascade_at_test, dataset.X)
     return CCASLAMLModel(
         cascade=cascade,
         indicators=indicators,
         middle=middle,
-        output=train_br(out_data, cfg.base),
+        output=train_br_over(dataset, middle_hat, cfg.base),
         cascade_at_test=cfg.cascade_at_test,
     )
 
@@ -234,26 +222,13 @@ def train_elm_br(dataset: Dataset, cfg: MethodConfig | None = None) -> ELMBRMode
     cfg = cfg or MethodConfig()
     H = cfg.resolve_h(dataset.n_labels, "elm")
     projection = init_projection(dataset.X, H, cfg.seed)
-    Z = apply_projection(projection, dataset.X)
-    br_data = Dataset(
-        np.hstack([dataset.X, Z.astype(float)]),
-        dataset.Y,
-        label_names=list(dataset.label_names),
-    )
-    return ELMBRModel(projection=projection, br=train_br(br_data, cfg.base))
-
-
-def _train_br_method(dataset: Dataset, cfg: MethodConfig) -> BRModel:
-    return train_br(dataset, cfg.base)
-
-
-def _train_cc_method(dataset: Dataset, cfg: MethodConfig) -> CCModel:
-    return train_cc(dataset, None, cfg.base)
+    br = train_br_over(dataset, apply_projection(projection, dataset.X), cfg.base)
+    return ELMBRModel(projection=projection, br=br)
 
 
 _TRAINERS = {
-    "br": _train_br_method,
-    "cc": _train_cc_method,
+    "br": lambda dataset, cfg: train_br(dataset, cfg.base),
+    "cc": lambda dataset, cfg: train_cc(dataset, None, cfg.base),
     "ccasl": train_ccasl,
     "ccasl+br": train_ccasl_br,
     "ccasl+aml": train_ccasl_aml,
@@ -273,17 +248,34 @@ def train_method(name: str, dataset: Dataset, cfg: MethodConfig | None = None):
 MODEL_VERSION = 1
 
 
-# The scalar fields of a model document, wherever they occur, and the JSON
-# type each must have.  The type is tested exactly, so true and false are not
-# integers here although Python's bool is a subclass of int.
-_SCALAR_FIELDS = {
-    "kind": (str, "a string"),
-    "cascade_at_test": (bool, "true or false"),
-    "input_dim": (int, "an integer"),
-    "n_labels": (int, "an integer"),
-    "D": (int, "an integer"),
-    "H": (int, "an integer"),
+# The typed fields of a model document, wherever they occur: the JSON types
+# a field may have and how an error names them.  The entries of a list field,
+# also in nested lists, must have one of those types too.  Types are tested
+# exactly, so true and false are not integers here although Python's bool is
+# a subclass of int.
+_FIELD_TYPES = {
+    "kind": ({str}, "a string"),
+    "cascade_at_test": ({bool}, "true or false"),
+    **dict.fromkeys(("input_dim", "n_labels", "D", "H"), ({int}, "an integer")),
+    **dict.fromkeys(("weights", "thresholds", "mean", "std"), ({list, float, int}, "a number")),
+    **dict.fromkeys(("label_order", "entries"), ({list, int}, "an integer")),
 }
+
+
+def _check_type(node: Any, path: str, types: set, name: str) -> None:
+    """Raise ValueError naming the path of node, or of the first entry of its
+    nested lists, whose JSON type is not in types."""
+    # One set(map(type, ...)) pass per level of nesting checks the entries at
+    # C speed; the path of a wrong entry is searched for only when there is one.
+    level = node if type(node) is list else [node]
+    while level and (found := set(map(type, level))) <= types:
+        level = [*chain.from_iterable(v for v in level if type(v) is list)] if list in found else []
+    if not level and type(node) in types:
+        return
+    if type(node) not in types:
+        raise ValueError(f"field {path} must be {name}, got {json.dumps(node)}")
+    for i, v in enumerate(node):
+        _check_type(v, f"{path}[{i}]", types, name)
 
 
 class _JsonObject(dict):
@@ -296,12 +288,11 @@ class _JsonObject(dict):
 def _with_paths(node: Any, path: str = "$") -> Any:
     """Copy of a parsed JSON document whose objects are _JsonObjects.
 
-    Raises ValueError naming the path of a scalar field of the wrong type."""
+    Raises ValueError naming the path of a field or list entry of the wrong type."""
     if isinstance(node, dict):
         for k, v in node.items():
-            want, name = _SCALAR_FIELDS.get(k, (type(v), ""))
-            if type(v) is not want:
-                raise ValueError(f"field {path}.{k} must be {name}, got {json.dumps(v)}")
+            if k in _FIELD_TYPES:
+                _check_type(v, f"{path}.{k}", *_FIELD_TYPES[k])
         obj = _JsonObject((k, _with_paths(v, f"{path}.{k}")) for k, v in node.items())
         obj.path = path
         return obj
@@ -451,9 +442,10 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     optional feature/label names and feature standardizer stored at save time.
 
     Raises ValueError for a file that is not a version-1 model document, and
-    names the JSON path of the first missing field, of a scalar field of the
-    wrong type and of a "models" field that is not a list of objects; a field
-    of another wrong type is named by the error numpy or Python raised for it."""
+    names the JSON path of the first missing field, of a scalar field or a
+    number-list entry of the wrong type and of a "models" field that is not a
+    list of objects; a field of another wrong type is named by the error numpy
+    or Python raised for it."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":

@@ -9,6 +9,7 @@ that fire when a chosen group of labels takes one specific bit pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -20,30 +21,37 @@ THRESHOLD_NOISE = 0.1     # threshold jitter as a fraction of the activation std
 
 
 @dataclass
-class TLUCascade:
-    """Random threshold units chained so unit k sees the outputs of units before it.
-
-    weights[k] holds the masked weight row for unit k (length D + k) and
-    thresholds[k] its activation cutoff; a unit fires when its activation
-    strictly exceeds the threshold.
-    """
+class _ThresholdUnits:
+    """H random threshold units over D features: unit k fires when the dot
+    product of its weight row with its input row strictly exceeds
+    thresholds[k].  A subclass says how wide unit k's row is; the checks and
+    the JSON form are shared."""
 
     D: int
     H: int
-    weights: list[np.ndarray]
+    weights: Any
     thresholds: np.ndarray
     seed: int = 0
 
+    chained: ClassVar[bool]
+
+    @classmethod
+    def row_width(cls, D: int, k: int) -> int:
+        """Width of unit k's input: the features, and the k earlier bits if chained."""
+        return D + k if cls.chained else D
+
     def __post_init__(self) -> None:
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
+        rows = [np.asarray(w, dtype=float) for w in self.weights]
         self.thresholds = np.asarray(self.thresholds, dtype=float)
-        if len(self.weights) != self.H or self.thresholds.shape != (self.H,):
+        if len(rows) != self.H or self.thresholds.shape != (self.H,):
             raise ValueError("need one weight row and one threshold per unit")
-        for k, w in enumerate(self.weights):
-            if w.shape != (self.D + k,):
-                raise ValueError(f"unit {k} weight row must have length {self.D + k}")
+        for k, w in enumerate(rows):
+            if w.shape != (self.row_width(self.D, k),):
+                raise ValueError(
+                    f"unit {k} weight row must have length {self.row_width(self.D, k)}")
         if not np.all(np.isfinite(self.thresholds)):
             raise ValueError("thresholds must be finite")
+        self.weights = rows
 
     def to_dict(self) -> dict:
         return {
@@ -55,51 +63,30 @@ class TLUCascade:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TLUCascade":
-        return cls(
-            D=d["D"],
-            H=d["H"],
-            weights=[np.asarray(w, dtype=float) for w in d["weights"]],
-            thresholds=np.asarray(d["thresholds"], dtype=float),
-            seed=d.get("seed", 0),
-        )
+    def from_dict(cls, d: dict):
+        return cls(D=d["D"], H=d["H"], weights=d["weights"], thresholds=d["thresholds"],
+                   seed=d.get("seed", 0))
 
 
-@dataclass
-class RandomProjection:
-    """Flat random threshold units; every unit reads only the feature vector."""
+class TLUCascade(_ThresholdUnits):
+    """Random threshold units chained so unit k reads [x, z_1..z_{k-1}].
 
-    D: int
-    H: int
-    weights: np.ndarray
-    thresholds: np.ndarray
-    seed: int = 0
+    weights[k] is unit k's masked weight row, of length D + k."""
+
+    chained = True
+
+
+class RandomProjection(_ThresholdUnits):
+    """Flat random threshold units; every unit reads only the feature vector.
+
+    weights is the H x D matrix of their rows."""
+
+    chained = False
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.thresholds = np.asarray(self.thresholds, dtype=float)
-        if self.weights.shape != (self.H, self.D) or self.thresholds.shape != (self.H,):
-            raise ValueError("weights must be H x D and thresholds length H")
-
-    def to_dict(self) -> dict:
-        return {
-            "D": self.D,
-            "H": self.H,
-            "seed": self.seed,
-            "weights": self.weights.tolist(),
-            "thresholds": self.thresholds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomProjection":
-        return cls(
-            D=d["D"],
-            H=d["H"],
-            # An H = 0 projection saves its weights as [], which reads back as shape (0,).
-            weights=np.asarray(d["weights"], dtype=float).reshape(-1, d["D"]),
-            thresholds=np.asarray(d["thresholds"], dtype=float),
-            seed=d.get("seed", 0),
-        )
+        super().__post_init__()
+        # The rows of an H = 0 projection stack to shape (0,), not (0, D).
+        self.weights = np.array(self.weights).reshape(self.H, self.D)
 
 
 @dataclass
@@ -149,16 +136,29 @@ class LabelIndicatorSet:
         )
 
 
-def init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
-    """Build a cascade of H random threshold units against a training matrix.
+def _with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:
+    """[X | H bit columns] in one matrix, laid out as np.hstack lays out X next
+    to a column: in Fortran order when X's columns are its contiguous axis,
+    else in C order.  A GEMV sums in another order on the two layouts, and on
+    a column slice of this matrix in the same order as on an np.hstack copy."""
+    n, D = X.shape
+    fortran = n > 1 and D > 1 and abs(X.strides[1]) > abs(X.strides[0])
+    out = np.empty((n, D + H), order="F" if fortran else "C")
+    out[:, :D] = X
+    return out
+
+
+def _draw_units(cls: type, train_X: np.ndarray, H: int, seed: int):
+    """Draw H random threshold units of class cls against a training matrix.
 
     Units are finalized one at a time.  Per unit, the draw order from the
     seeded generator is fixed: the weight row (normal, std 0.2), then the
     keep-mask (uniform per entry, kept below 0.9), then one standard normal
     for threshold jitter.  The threshold is the empirical mean of the unit's
     activations over the training rows plus jitter of 0.1 times their
-    standard deviation, where the activations already include the finalized
-    outputs of earlier units as inputs.
+    standard deviation.  A unit reads the first cls.row_width(D, k) columns
+    of [x | bits], where each unit's training bits are written as it is
+    finalized.
     """
     train_X = np.asarray(train_X, dtype=float)
     if train_X.ndim != 2 or train_X.shape[0] == 0:
@@ -167,54 +167,42 @@ def init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
         raise ValueError("H must be >= 0")
     D = train_X.shape[1]
     rng = np.random.default_rng(seed)
-    inputs = train_X
+    inputs = _with_bit_columns(train_X, H)
     weights: list[np.ndarray] = []
     thresholds = np.zeros(H)
     for k in range(H):
-        row = rng.normal(0.0, WEIGHT_STD, size=D + k)
-        row = row * (rng.random(D + k) < KEEP_PROB)
-        a = inputs @ row
+        width = cls.row_width(D, k)
+        row = rng.normal(0.0, WEIGHT_STD, size=width)
+        row = row * (rng.random(width) < KEEP_PROB)
+        a = (inputs[:, :width] if width > D else train_X) @ row
         t = float(a.mean()) + THRESHOLD_NOISE * float(a.std()) * float(rng.standard_normal())
-        z = (a > t).astype(float)
+        inputs[:, D + k] = a > t
         weights.append(row)
         thresholds[k] = t
-        inputs = np.hstack([inputs, z[:, None]])
-    return TLUCascade(D=D, H=H, weights=weights, thresholds=thresholds, seed=seed)
+    return cls(D=D, H=H, weights=weights, thresholds=thresholds, seed=seed)
+
+
+def init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
+    """Build a cascade of H random threshold units against a training matrix;
+    unit k's threshold is set on activations that include the training bits
+    of units 1..k-1 (see _draw_units)."""
+    return _draw_units(TLUCascade, train_X, H, seed)
 
 
 def apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
     """Evaluate the cascade: unit k reads [x, z_1..z_{k-1}] and fires on a > t."""
     X, single = as_rows(x, cascade.D)
-    n = X.shape[0]
-    Z = np.zeros((n, cascade.H), dtype=np.int64)
-    inputs = X
-    for k in range(cascade.H):
-        a = inputs @ cascade.weights[k]
-        Z[:, k] = a > cascade.thresholds[k]
-        inputs = np.hstack([inputs, Z[:, k : k + 1].astype(float)])
+    D = cascade.D
+    inputs = _with_bit_columns(X, cascade.H)
+    for k, (row, t) in enumerate(zip(cascade.weights, cascade.thresholds)):
+        inputs[:, D + k] = (inputs[:, : D + k] if k else X) @ row > t
+    Z = inputs[:, D:].astype(np.int64)
     return Z[0] if single else Z
 
 
 def init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
-    """Flat counterpart of init_cascade: same per-unit draws, no chaining."""
-    train_X = np.asarray(train_X, dtype=float)
-    if train_X.ndim != 2 or train_X.shape[0] == 0:
-        raise ValueError("train_X must be a nonempty 2-D matrix")
-    if H < 0:
-        raise ValueError("H must be >= 0")
-    D = train_X.shape[1]
-    rng = np.random.default_rng(seed)
-    weights = np.zeros((H, D))
-    thresholds = np.zeros(H)
-    for k in range(H):
-        row = rng.normal(0.0, WEIGHT_STD, size=D)
-        row = row * (rng.random(D) < KEEP_PROB)
-        a = train_X @ row
-        weights[k] = row
-        thresholds[k] = float(a.mean()) + THRESHOLD_NOISE * float(a.std()) * float(
-            rng.standard_normal()
-        )
-    return RandomProjection(D=D, H=H, weights=weights, thresholds=thresholds, seed=seed)
+    """Flat counterpart of init_cascade: the same per-unit draws, no chaining."""
+    return _draw_units(RandomProjection, train_X, H, seed)
 
 
 def apply_projection(proj: RandomProjection, x: np.ndarray) -> np.ndarray:

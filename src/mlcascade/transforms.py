@@ -84,25 +84,21 @@ class CCModel:
         instead of being predicted).
         """
         X, single = as_rows(x, self.input_dim)
-        n = X.shape[0]
-        L = self.n_labels
-        chain_bits = np.zeros((n, L))
+        n, D = X.shape
+        # [x | chain bits]: position j reads the first D + j columns.
+        inputs = np.empty((n, D + self.n_labels))
+        inputs[:, :D] = X
         n_known = 0
         if prefix is not None:
-            prefix = np.asarray(prefix, dtype=float)
-            if prefix.ndim == 1:
-                prefix = prefix[None, :]
+            prefix, _ = as_rows(prefix, np.shape(prefix)[-1])
             n_known = prefix.shape[1]
-            if n_known > L or prefix.shape[0] != n:
+            if n_known > self.n_labels or prefix.shape[0] != n:
                 raise ValueError("prefix shape does not match the chain")
-            chain_bits[:, :n_known] = prefix
-        for j in range(L):
-            if j < n_known:
-                continue
-            feats = np.hstack([X, chain_bits[:, :j]])
-            chain_bits[:, j] = self.models[j].predict_bit(feats)
-        out = np.zeros((n, L), dtype=np.int64)
-        out[:, self.label_order] = chain_bits.astype(np.int64)
+            inputs[:, D : D + n_known] = prefix
+        for j in range(n_known, self.n_labels):
+            inputs[:, D + j] = self.models[j].predict_bit(inputs[:, : D + j])
+        out = np.zeros((n, self.n_labels), dtype=np.int64)
+        out[:, self.label_order] = inputs[:, D:]
         return out[0] if single else out
 
 
@@ -129,17 +125,22 @@ class StackedModel:
         return self.meta.n_labels
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        X, single = as_rows(x, self.input_dim)
-        first = self.first_layer.predict(X)
-        out = self.meta.predict(np.hstack([X, first.astype(float)]))
-        return out[0] if single else out
+        return self.meta.predict(np.hstack([x, self.first_layer.predict(x).astype(float)]))
+
+
+def _fit(where: str, X: np.ndarray, y: np.ndarray, config: TrainConfig | None) -> LinearModel:
+    """train_logistic(X, y, config), naming the model's place in its error."""
+    try:
+        return train_logistic(X, y, config)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def train_br(dataset: Dataset, config: TrainConfig | None = None) -> BRModel:
     """Train one logistic model per label column, each on (X, Y[:, j])."""
     models = [
-        train_logistic(dataset.X, dataset.Y[:, j], config)
-        for j in range(dataset.n_labels)
+        _fit(f"label {name!r}", dataset.X, dataset.Y[:, j], config)
+        for j, name in enumerate(dataset.label_names)
     ]
     return BRModel(models=models, input_dim=dataset.n_features)
 
@@ -165,7 +166,8 @@ def train_cc(
     models = []
     for j in range(L):
         feats = np.hstack([X, dataset.Y[:, order[:j]].astype(float)])
-        models.append(train_logistic(feats, dataset.Y[:, order[j]], config))
+        where = f"chain position {j} (target {dataset.label_names[order[j]]!r})"
+        models.append(_fit(where, feats, dataset.Y[:, order[j]], config))
     return CCModel(models=models, label_order=order, input_dim=dataset.n_features)
 
 
@@ -181,11 +183,13 @@ def train_stack(
     the meta layer is fit on in-sample first-layer predictions.
     """
     first = first_layer_trainer(dataset)
-    first_bits = first.predict(dataset.X)
-    meta_data = Dataset(
-        np.hstack([dataset.X, first_bits.astype(float)]),
-        dataset.Y,
-        label_names=list(dataset.label_names),
-    )
-    meta = train_br(meta_data, config)
+    meta = train_br_over(dataset, first.predict(dataset.X), config)
     return StackedModel(first_layer=first, meta=meta, input_dim=dataset.n_features)
+
+
+def train_br_over(dataset: Dataset, bits: np.ndarray, config: TrainConfig | None = None) -> BRModel:
+    """Binary relevance over [x, bits], as in the layer that stacking, elm and
+    the AML output put over extra bits."""
+    wide = Dataset(np.hstack([dataset.X, bits.astype(float)]), dataset.Y,
+                   label_names=list(dataset.label_names))
+    return train_br(wide, config)

@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import mlcascade.cli as cli
+import mlcascade.data as data
+import mlcascade.evaluate as evaluate
 import mlcascade.logistic as logistic
+import mlcascade.methods as methods
+import mlcascade.synth as synth
 import mlcascade.transforms as transforms
 from mlcascade.data import gen_logical
 from mlcascade.methods import METHOD_NAMES, MethodConfig
@@ -27,12 +32,36 @@ def tracer_module():
     return module
 
 
+def _namespaces():
+    """Every module of the program and every class defined in one."""
+    for module in (cli, data, evaluate, logistic, methods, synth, transforms):
+        yield module
+        yield from (v for v in vars(module).values()
+                    if isinstance(v, type) and v.__module__ == module.__name__)
+
+
 def test_recording_installs_and_removes_every_binding(tracer_module):
+    before = {ns: dict(vars(ns)) for ns in _namespaces()}
     tracer = tracer_module.Tracer()
     with tracer.recording("op"):
         assert transforms.train_logistic is not logistic.train_logistic
+        patched = [(owner, attr) for owner, attr, _ in tracer._saved]
     assert transforms.train_logistic is logistic.train_logistic
     assert [s.name for s in tracer.spans] == ["op"]
+    assert len(patched) > 20
+    for owner, attr in patched:
+        # A patched class defines the method itself, so patching and
+        # restoring it act on that class alone; an inherited or aliased
+        # method is shared with another class.
+        if isinstance(owner, type):
+            own = before[owner].get(attr)
+            assert getattr(own, "__qualname__", None) == f"{owner.__qualname__}.{attr}", (
+                f"{owner.__name__}.{attr} is inherited or an alias")
+    for ns, names in before.items():
+        after = dict(vars(ns))
+        assert after.keys() == names.keys(), ns.__name__
+        changed = [k for k, v in names.items() if after[k] is not v]
+        assert changed == [], f"{ns.__name__}: {changed} not restored"
 
 
 def test_a_traced_run_reaches_every_layer(tracer_module):

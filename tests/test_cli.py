@@ -67,7 +67,7 @@ class TestBench:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("mlcascade: data error: method 'br' failed on dataset "
-                              "'logical', iteration 0: training diverged at epoch ")
+                              "'logical', iteration 0: label 'or': training diverged at epoch ")
         assert not out.exists()
 
     def test_unknown_method_is_usage_error(self, tmp_path):
@@ -151,8 +151,20 @@ class TestTrainPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert "diverged at epoch " in err and "learning_rate=1e+30" in err
+        assert "data error: label 'or': training diverged" in err
         assert caught == []
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("method, where", [
+        ("cc", "chain position 0 (target 'or')"),
+        ("ccasl", "chain position 0 (target 'z1')"),
+    ])
+    def test_diverging_chain_fit_names_its_position(self, tmp_path, logical_csv, capsys,
+                                                    method, where):
+        code = main(["train", "--dataset", str(logical_csv), "--label-count", "3",
+                     "--method", method, "--lr", "1e30", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"data error: {where}: training diverged at epoch " in capsys.readouterr().err
 
     @pytest.fixture()
     def model_doc(self, tmp_path, logical_csv):
@@ -209,6 +221,35 @@ class TestTrainPredict:
                                                    model_doc, capsys, edit, message):
         edit(model_doc["model"])
         assert self._predict(tmp_path, model_doc, logical_csv) == 2
+        assert f"edited.json: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["model"]["middle"]["models"][0]["weights"].__setitem__(1, "0.5"),
+         'field $.model.middle.models[0].weights[1] must be a number, got "0.5"'),
+        (lambda d: d["model"]["cascade"]["weights"][1].__setitem__(0, "0.1"),
+         'field $.model.cascade.weights[1][0] must be a number, got "0.1"'),
+        (lambda d: d["model"]["cascade"]["thresholds"].__setitem__(0, True),
+         "field $.model.cascade.thresholds[0] must be a number, got true"),
+        (lambda d: d["model"]["middle"]["label_order"].__setitem__(0, 0.0),
+         "field $.model.middle.label_order[0] must be an integer, got 0.0"),
+        (lambda d: d["model"]["indicators"]["entries"][0][0].__setitem__(0, "0"),
+         'field $.model.indicators.entries[0][0][0] must be an integer, got "0"'),
+        (lambda d: d["model"]["indicators"]["entries"][1].__setitem__(1, False),
+         "field $.model.indicators.entries[1][1] must be an integer, got false"),
+        (lambda d: d["standardizer"]["mean"].__setitem__(0, "0.5"),
+         'field $.standardizer.mean[0] must be a number, got "0.5"'),
+        (lambda d: d["standardizer"].update(std=[1.0, None]),
+         "field $.standardizer.std[1] must be a number, got null"),
+    ])
+    def test_wrong_type_number_list_entry_is_data_error(self, tmp_path, logical_csv,
+                                                        capsys, edit, message):
+        path = tmp_path / "model.json"
+        main(["train", "--dataset", str(logical_csv), "--label-count", "3",
+              "--method", "ccasl+aml", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        edit(doc)
+        assert self._predict(tmp_path, doc, logical_csv) == 2
         assert f"edited.json: {message}" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 

@@ -1,6 +1,7 @@
 """Property tests over small random shapes (N rows, D features, L labels, H
-synthetic units) with few epochs: the save/load round trip of every method
-and the degenerate equivalences between methods."""
+synthetic units) with few epochs: the save/load round trip of every method,
+the degenerate equivalences between methods, and what a chain does with
+known earlier bits."""
 
 import tempfile
 from pathlib import Path
@@ -17,10 +18,12 @@ from mlcascade.methods import (
     load_model,
     save_model,
     train_ccasl,
+    train_ccasl_aml,
     train_elm_br,
     train_method,
 )
-from mlcascade.transforms import train_br, train_cc
+from mlcascade.synth import apply_cascade
+from mlcascade.transforms import train_br, train_br_over, train_cc
 
 BASE = TrainConfig(epochs=5, learning_rate=0.5)
 
@@ -91,3 +94,35 @@ def test_br_is_cc_for_one_label(n, d, L, seed):
     assert np.array_equal(br.models[0].weights, cc.models[0].weights)
     probe = _probe(d, seed)
     assert np.array_equal(br.predict(probe), cc.predict(probe))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**shapes)
+def test_chain_given_true_earlier_bits_is_teacher_forced(n, d, L, seed):
+    ds = _dataset(n, d, L, seed)
+    order = np.random.default_rng(seed).permutation(L)
+    cc = train_cc(ds, order, BASE)
+    for j in range(L):
+        known = ds.Y[:, order[:j]]
+        forced = cc.models[j].predict_bit(np.hstack([ds.X, known]))
+        assert np.array_equal(cc.predict(ds.X, prefix=known)[:, order[j]], forced)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(0, 4), hp=st.integers(0, 4), **shapes)
+def test_cascade_at_test_feeds_the_cascade_bits_to_the_chain(h, hp, n, d, L, seed):
+    ds = _dataset(n, d, L, seed)
+    cfg = MethodConfig(synthetic_count=h, indicator_count=hp, base=BASE, seed=seed,
+                       cascade_at_test=True)
+    probe = _probe(d, seed)
+    ccasl = train_ccasl(ds, cfg)
+    fed = ccasl.chain.predict(probe, prefix=apply_cascade(ccasl.cascade, probe))
+    assert np.array_equal(ccasl.predict(probe), fed[:, h:])
+    aml = train_ccasl_aml(ds, cfg)
+    fed = aml.middle.predict(probe, prefix=apply_cascade(aml.cascade, probe))
+    assert np.array_equal(aml.middle_bits(probe), fed)
+    assert np.array_equal(aml.predict(probe), aml.output.predict(np.hstack([probe, fed])))
+    # The output layer was fit on the bits the same rule gives on the training rows.
+    train_bits = aml.middle.predict(ds.X, prefix=apply_cascade(aml.cascade, ds.X))
+    for a, b in zip(aml.output.models, train_br_over(ds, train_bits, BASE).models, strict=True):
+        assert np.array_equal(a.weights, b.weights)

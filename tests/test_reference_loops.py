@@ -1,0 +1,181 @@
+"""The cascade, projection and greedy-chain loops against the loops they replaced.
+
+init_cascade, init_projection and apply_cascade now share one [x | bits]
+matrix per call, and CCModel.predict fills one preallocated [x | chain bits]
+matrix, where the loops below built a fresh np.hstack copy per unit or chain
+position.  The loops are kept here verbatim as references: weights,
+thresholds and bits must be equal bit for bit, over row counts, widths,
+memory layouts of the input, single 1-D rows and every prefix length.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlcascade.logistic import LinearModel, as_rows
+from mlcascade.synth import (
+    KEEP_PROB,
+    THRESHOLD_NOISE,
+    WEIGHT_STD,
+    RandomProjection,
+    TLUCascade,
+    apply_cascade,
+    init_cascade,
+    init_projection,
+)
+from mlcascade.transforms import CCModel
+
+
+def reference_init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
+    train_X = np.asarray(train_X, dtype=float)
+    if train_X.ndim != 2 or train_X.shape[0] == 0:
+        raise ValueError("train_X must be a nonempty 2-D matrix")
+    if H < 0:
+        raise ValueError("H must be >= 0")
+    D = train_X.shape[1]
+    rng = np.random.default_rng(seed)
+    inputs = train_X
+    weights: list[np.ndarray] = []
+    thresholds = np.zeros(H)
+    for k in range(H):
+        row = rng.normal(0.0, WEIGHT_STD, size=D + k)
+        row = row * (rng.random(D + k) < KEEP_PROB)
+        a = inputs @ row
+        t = float(a.mean()) + THRESHOLD_NOISE * float(a.std()) * float(rng.standard_normal())
+        z = (a > t).astype(float)
+        weights.append(row)
+        thresholds[k] = t
+        inputs = np.hstack([inputs, z[:, None]])
+    return TLUCascade(D=D, H=H, weights=weights, thresholds=thresholds, seed=seed)
+
+
+def reference_apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
+    X, single = as_rows(x, cascade.D)
+    n = X.shape[0]
+    Z = np.zeros((n, cascade.H), dtype=np.int64)
+    inputs = X
+    for k in range(cascade.H):
+        a = inputs @ cascade.weights[k]
+        Z[:, k] = a > cascade.thresholds[k]
+        inputs = np.hstack([inputs, Z[:, k : k + 1].astype(float)])
+    return Z[0] if single else Z
+
+
+def reference_init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
+    train_X = np.asarray(train_X, dtype=float)
+    if train_X.ndim != 2 or train_X.shape[0] == 0:
+        raise ValueError("train_X must be a nonempty 2-D matrix")
+    if H < 0:
+        raise ValueError("H must be >= 0")
+    D = train_X.shape[1]
+    rng = np.random.default_rng(seed)
+    weights = np.zeros((H, D))
+    thresholds = np.zeros(H)
+    for k in range(H):
+        row = rng.normal(0.0, WEIGHT_STD, size=D)
+        row = row * (rng.random(D) < KEEP_PROB)
+        a = train_X @ row
+        weights[k] = row
+        thresholds[k] = float(a.mean()) + THRESHOLD_NOISE * float(a.std()) * float(
+            rng.standard_normal()
+        )
+    return RandomProjection(D=D, H=H, weights=weights, thresholds=thresholds, seed=seed)
+
+
+def reference_chain_predict(self: CCModel, x: np.ndarray,
+                            prefix: np.ndarray | None = None) -> np.ndarray:
+    X, single = as_rows(x, self.input_dim)
+    n = X.shape[0]
+    L = self.n_labels
+    chain_bits = np.zeros((n, L))
+    n_known = 0
+    if prefix is not None:
+        prefix = np.asarray(prefix, dtype=float)
+        if prefix.ndim == 1:
+            prefix = prefix[None, :]
+        n_known = prefix.shape[1]
+        if n_known > L or prefix.shape[0] != n:
+            raise ValueError("prefix shape does not match the chain")
+        chain_bits[:, :n_known] = prefix
+    for j in range(L):
+        if j < n_known:
+            continue
+        feats = np.hstack([X, chain_bits[:, :j]])
+        chain_bits[:, j] = self.models[j].predict_bit(feats)
+    out = np.zeros((n, L), dtype=np.int64)
+    out[:, self.label_order] = chain_bits.astype(np.int64)
+    return out[0] if single else out
+
+
+# GEMV sums in another order on C- and Fortran-ordered matrices, and on a
+# column slice of a wider matrix it reads rows with another stride.
+LAYOUTS = ("C", "F", "C-sliced", "F-sliced")
+
+
+def _matrix(n: int, d: int, kind: str, seed: int, layout: str) -> np.ndarray:
+    """An n x d matrix in the given memory layout.  Small integers make exact
+    activation ties (a == t, a == 0) likely; normal values make rounding matter."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) if kind == "normal" else rng.integers(-2, 3, (n, d)) * 0.5
+    if layout in ("C", "F"):
+        return np.asarray(X, order=layout)
+    wide = np.zeros((n, d + 3), order=layout[0])
+    wide[:, 2 : 2 + d] = X
+    return wide[:, 2 : 2 + d]
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+shapes = dict(
+    n=st.integers(1, 60),
+    d=st.integers(1, 6),
+    kind=st.sampled_from(["normal", "integer"]),
+    layout=st.sampled_from(LAYOUTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(0, 12), probe_layout=st.sampled_from(LAYOUTS), **shapes)
+def test_cascade_matches_reference(h, probe_layout, n, d, kind, layout, seed):
+    X = _matrix(n, d, kind, seed, layout)
+    new, ref = init_cascade(X, h, seed), reference_init_cascade(X, h, seed)
+    assert len(new.weights) == h
+    for a, b in zip(new.weights, ref.weights, strict=True):
+        assert _same(a, b)
+    assert _same(new.thresholds, ref.thresholds)
+    assert _same(apply_cascade(new, X), reference_apply_cascade(ref, X))
+    probe = _matrix(n + 3, d, kind, seed + 1, probe_layout)
+    assert _same(apply_cascade(new, probe), reference_apply_cascade(ref, probe))
+    assert _same(apply_cascade(new, probe[1]), reference_apply_cascade(ref, probe[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(0, 12), **shapes)
+def test_projection_matches_reference(h, n, d, kind, layout, seed):
+    X = _matrix(n, d, kind, seed, layout)
+    new, ref = init_projection(X, h, seed), reference_init_projection(X, h, seed)
+    assert _same(new.weights, ref.weights)
+    assert _same(new.thresholds, ref.thresholds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=st.integers(1, 8), data=st.data(), **shapes)
+def test_chain_predict_matches_reference(L, data, n, d, kind, layout, seed):
+    rng = np.random.default_rng(seed)
+    # Random weights stand in for trained ones; integer weights on integer
+    # features put activations exactly on the 0 -> 1 tie.
+    models = [LinearModel(weights=rng.normal(size=d + j + 1) if kind == "normal"
+                          else rng.integers(-2, 3, d + j + 1) * 0.5) for j in range(L)]
+    chain = CCModel(models=models, label_order=rng.permutation(L), input_dim=d)
+    X = _matrix(n, d, kind, seed + 1, layout)
+    n_known = data.draw(st.integers(0, L))
+    prefix = rng.integers(0, 2, size=(n, n_known))
+    if data.draw(st.booleans()):
+        prefix = prefix.astype(float)
+    assert _same(chain.predict(X), reference_chain_predict(chain, X))
+    assert _same(chain.predict(X, prefix=prefix), reference_chain_predict(chain, X, prefix))
+    assert _same(chain.predict(X[0], prefix=prefix[0]),
+                 reference_chain_predict(chain, X[0], prefix[0]))
