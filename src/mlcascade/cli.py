@@ -12,6 +12,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     Dataset,
     StandardizationParams,
@@ -239,11 +241,22 @@ def cmd_predict(args) -> int:
         data = apply_standardizer(params, data)
     preds = model.predict(data.X)
     label_names = meta.get("label_names") or [f"y{j + 1}" for j in range(preds.shape[1])]
-    lines = [",".join(label_names), *(",".join(map(str, row)) for row in preds.tolist())]
     with _atomic_file(Path(args.out)) as tmp:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp.write_bytes(_predictions_csv(label_names, preds))
     print(f"wrote {preds.shape[0]} prediction rows to {args.out}")
     return EXIT_OK
+
+
+def _predictions_csv(label_names: list[str], bits: np.ndarray) -> bytes:
+    """A header line and one line of comma-separated digits per row of a 0/1
+    matrix; the body is built as one byte array, not one string per cell."""
+    n, width = bits.shape
+    # Each row is its digits with a comma after all but the last, then a
+    # newline; with no labels, a row is the newline alone.
+    body = np.full((n, max(2 * width, 1)), ord(","), dtype=np.uint8)
+    body[:, 0:2 * width:2] = bits + ord("0")
+    body[:, -1] = ord("\n")
+    return (",".join(label_names) + "\n").encode("utf-8") + body.tobytes()
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:

@@ -166,10 +166,21 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
 
     The trailing label_count columns are the labels (leading columns when
     labels_last is False) and must parse to exactly 0 or 1.  Every cell is
-    parsed by Python's float(); feature cells must be finite.
+    read as Python's float() reads it; feature cells must be finite.
+
+    A valid file of plain ASCII is parsed in C by _load_plain_csv; any other
+    file, and every file with an error, goes through csv.reader and float().
     """
     if label_count < 0:
         raise ValueError("label_count must be >= 0")
+    try:
+        dataset = _load_plain_csv(path, label_count, labels_last)
+    except Exception:
+        # Whatever stops the C parse, the path below gives the result or the
+        # error (its class and message) that this file has always had.
+        dataset = None
+    if dataset is not None:
+        return dataset
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -187,12 +198,7 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
             raise CsvFormatError(
                 f"{path}: row {i + 2} has {len(row)} cells, expected {width}"
             )
-    if labels_last:
-        feat_idx = range(width - label_count)
-        lab_idx = range(width - label_count, width)
-    else:
-        feat_idx = range(label_count, width)
-        lab_idx = range(label_count)
+    feat_idx, lab_idx = _column_ranges(width, label_count, labels_last)
     try:
         cells = np.fromiter(
             map(float, chain.from_iterable(rows)), float, len(rows) * width
@@ -214,6 +220,60 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
         Y.astype(np.int64),
         [header[j] for j in feat_idx],
         [header[j] for j in lab_idx],
+    )
+
+
+def _column_ranges(width: int, label_count: int, labels_last: bool) -> tuple[range, range]:
+    """The feature and the label column indices of a table width columns wide."""
+    if labels_last:
+        return range(width - label_count), range(width - label_count, width)
+    return range(label_count, width), range(label_count)
+
+
+# The bytes of a plain CSV file: printable ASCII but the quote, tab and the
+# line ends.  In such a file csv.reader ends a row at every line end and a
+# cell at every comma, as np.loadtxt does, and the only whitespace around a
+# cell, spaces and tabs, is stripped by float() and numpy alike.
+_PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
+
+
+def _load_plain_csv(path: str | Path, label_count: int, labels_last: bool) -> Dataset | None:
+    """What load_csv's csv.reader and float() path gives for path, parsed in
+    C by np.loadtxt; None for a file that path must read.
+
+    np.loadtxt converts each cell with PyOS_string_to_double, the routine
+    float() calls; on plain ASCII they differ only in float()'s underscores,
+    which np.loadtxt rejects.  So a file of _PLAIN_BYTES with a data row, no
+    empty line, no line over csv's field size limit, width numbers in every
+    row, 0/1 labels and finite features gives the same bits either way; any
+    other file gets None, and its result or error from the csv.reader path.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    # On these bytes splitlines ends lines at \r\n, \r and \n only, as csv.reader does.
+    lines = raw.decode("ascii").splitlines()
+    if len(lines) < 2 or not all(lines) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    names = lines[0].split(",")
+    width = len(names)
+    if label_count > width:
+        return None
+    cells = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None, ndmin=2,
+                       dtype=float)
+    if cells.shape != (len(lines) - 1, width):
+        return None
+    feat_idx, lab_idx = _column_ranges(width, label_count, labels_last)
+    Y = cells.take(lab_idx, axis=1)
+    X = cells.take(feat_idx, axis=1)
+    if not (np.all((Y == 0) | (Y == 1)) and np.isfinite(X).all()):
+        return None
+    return Dataset(
+        X,
+        Y.astype(np.int64),
+        [names[j] for j in feat_idx],
+        [names[j] for j in lab_idx],
     )
 
 

@@ -259,7 +259,13 @@ _FIELD_TYPES = {
     **dict.fromkeys(("input_dim", "n_labels", "D", "H"), ({int}, "an integer")),
     **dict.fromkeys(("weights", "thresholds", "mean", "std"), ({list, float, int}, "a number")),
     **dict.fromkeys(("label_order", "entries"), ({list, int}, "an integer")),
+    **dict.fromkeys(("feature_names", "label_names"), ({list, str}, "a string")),
+    "standardizer": ({dict}, "an object"),
 }
+
+# The fields next to the model in a model document; save_model writes null
+# for those it is not given.
+_META_FIELDS = ("feature_names", "label_names", "standardizer")
 
 
 def _check_type(node: Any, path: str, types: set, name: str) -> None:
@@ -291,7 +297,7 @@ def _with_paths(node: Any, path: str = "$") -> Any:
     Raises ValueError naming the path of a field or list entry of the wrong type."""
     if isinstance(node, dict):
         for k, v in node.items():
-            if k in _FIELD_TYPES:
+            if k in _FIELD_TYPES and not (v is None and k in _META_FIELDS):
                 _check_type(v, f"{path}.{k}", *_FIELD_TYPES[k])
         obj = _JsonObject((k, _with_paths(v, f"{path}.{k}")) for k, v in node.items())
         obj.path = path
@@ -437,15 +443,34 @@ def save_model(
         json.dump(doc, fh)
 
 
+def _check_meta_lengths(meta: dict, model: Any) -> None:
+    """Raise ValueError naming the metadata list that is not a flat list with
+    one entry per model input (feature names, standardizer) or label."""
+    lists = [("feature_names", meta["feature_names"], model.input_dim, "inputs"),
+             ("label_names", meta["label_names"], model.n_labels, "labels")]
+    if meta["standardizer"] is not None:
+        lists += [(f"standardizer.{k}", meta["standardizer"][k], model.input_dim, "inputs")
+                  for k in ("mean", "std")]
+    for name, value, count, unit in lists:
+        if value is None:
+            continue
+        if type(value) is not list or list in map(type, value):
+            raise ValueError(f"field $.{name} must be a flat list, got {json.dumps(value)}")
+        if len(value) != count:
+            raise ValueError(
+                f"field $.{name} has length {len(value)}, but the model has {count} {unit}")
+
+
 def load_model(path: str | Path) -> tuple[Any, dict]:
     """Load a saved model; returns (model, metadata) where metadata carries the
     optional feature/label names and feature standardizer stored at save time.
 
     Raises ValueError for a file that is not a version-1 model document, and
     names the JSON path of the first missing field, of a scalar field or a
-    number-list entry of the wrong type and of a "models" field that is not a
-    list of objects; a field of another wrong type is named by the error numpy
-    or Python raised for it."""
+    number-list entry of the wrong type, of a "models" field that is not a
+    list of objects and of a metadata list that is not as long as the model's
+    inputs or labels; a field of another wrong type is named by the error
+    numpy or Python raised for it."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":
@@ -455,13 +480,11 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
             f"{path}: unsupported model version {doc.get('version')!r} "
             f"(this program reads version {MODEL_VERSION})"
         )
-    meta = {
-        "feature_names": doc.get("feature_names"),
-        "label_names": doc.get("label_names"),
-        "standardizer": doc.get("standardizer"),
-    }
     try:
-        model = model_from_dict(_with_paths(doc)["model"])
+        doc = _with_paths(doc)
+        model = model_from_dict(doc["model"])
+        meta = {k: doc.get(k) for k in _META_FIELDS}
+        _check_meta_lengths(meta, model)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     except TypeError as e:

@@ -1,13 +1,24 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcascade import cli
 from mlcascade.cli import main
 from mlcascade.data import apply_standardizer, fit_standardizer, gen_logical, load_csv, save_csv
-from mlcascade.methods import MethodConfig, train_method
+from mlcascade.methods import METHOD_NAMES, MethodConfig, train_method
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def reference_predictions_csv(label_names, preds) -> bytes:
+    """The predict output as one string per cell, the way it was first written."""
+    lines = [",".join(label_names), *(",".join(map(str, row)) for row in preds.tolist())]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestGen:
@@ -253,6 +264,38 @@ class TestTrainPredict:
         assert f"edited.json: {message}" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.fixture()
+    def br_doc(self, tmp_path, logical_csv):
+        path = tmp_path / "br.json"
+        main(["train", "--dataset", str(logical_csv), "--label-count", "3",
+              "--method", "br", "--out", str(path)])
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(label_names=["or"]),
+         "field $.label_names has length 1, but the model has 3 labels"),
+        (lambda d: d["standardizer"].update(mean=[0.5]),
+         "field $.standardizer.mean has length 1, but the model has 2 inputs"),
+        (lambda d: d["standardizer"].pop("mean"), "missing field $.standardizer.mean"),
+        (lambda d: d["label_names"].__setitem__(1, 5),
+         "field $.label_names[1] must be a string, got 5"),
+        (lambda d: d.update(feature_names="x1"),
+         'field $.feature_names must be a flat list, got "x1"'),
+        (lambda d: d.update(standardizer=[0.0, 1.0]),
+         "field $.standardizer must be an object, got [0.0, 1.0]"),
+    ])
+    def test_malformed_metadata_is_data_error(self, tmp_path, logical_csv, br_doc, capsys,
+                                              edit, message):
+        edit(br_doc)
+        assert self._predict(tmp_path, br_doc, logical_csv) == 2
+        assert f"edited.json: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_null_metadata_predicts_with_default_names(self, tmp_path, logical_csv, br_doc):
+        br_doc.update(feature_names=None, label_names=None, standardizer=None)
+        assert self._predict(tmp_path, br_doc, logical_csv) == 0
+        assert (tmp_path / "p.csv").read_text().splitlines()[0] == "y1,y2,y3"
+
     def test_non_finite_feature_is_data_error(self, tmp_path, logical_csv, model_doc, capsys):
         header, *rows = logical_csv.read_text().splitlines()
         rows[2] = "nan," + rows[2].split(",", 1)[1]
@@ -278,6 +321,30 @@ class TestTrainPredict:
               "--label-count", "3", "--out", str(preds_path)])
         for line in preds_path.read_text().strip().split("\n"):
             assert len(line.split(",")) == 3
+
+
+class TestPredictionOutput:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_matches_reference_writer(self, n, n_labels, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, size=(n, n_labels))
+        names = [f"label{j}" for j in range(n_labels)]
+        assert cli._predictions_csv(names, bits) == reference_predictions_csv(names, bits)
+
+    @pytest.mark.parametrize("bits", [[[0]], [[1]], [[1], [0], [1]], [[0, 1, 1, 0]]])
+    def test_single_row_or_label_matches_reference_writer(self, bits):
+        bits = np.array(bits, dtype=np.int64)
+        names = [f"y{j + 1}" for j in range(bits.shape[1])]
+        assert cli._predictions_csv(names, bits) == reference_predictions_csv(names, bits)
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_frozen_model_predictions_are_byte_identical(self, tmp_path, name):
+        stem = name.replace("+", "_")
+        data, out = tmp_path / "logical.csv", tmp_path / "p.csv"
+        save_csv(gen_logical(20), data)
+        assert main(["predict", "--model", str(DATA / f"{stem}.json"), "--data", str(data),
+                     "--label-count", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{stem}-predictions.csv").read_bytes()
 
 
 class TestUsage:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcascade.data import (
@@ -98,7 +98,11 @@ def reference_load_csv(path: str | Path, label_count: int, labels_last: bool = T
     )
 
 
-AWKWARD_CELLS = [" 1.5", "1_0", "+1e3", "-0", "nan", "inf", "", "abc", "2", "1.0"]
+# Besides plain oddities: cells numpy's loadtxt accepts and float() rejects
+# ("\x1c1.5", "1.5\x1f"), cells float() accepts and loadtxt rejects ("1_0",
+# the Arabic-Indic digit one), a comment sign and an overflow to inf.
+AWKWARD_CELLS = [" 1.5", "1_0", "+1e3", "-0", "nan", "inf", "", "abc", "2", "1.0",
+                 "\x1c1.5", "1.5\x1f", "\u0661", "  1.5", "#1", "1e999"]
 
 
 @st.composite
@@ -127,11 +131,61 @@ def csv_tables(draw):
     return header, rows, n_labels, labels_last
 
 
+@st.composite
+def raw_csv_texts(draw):
+    """A csv_tables table written as raw text rather than by csv.writer: with
+    \n, \r, \r\n or mixed line ends, and perhaps a blank line, a
+    whitespace-only row, a blank line before the end of the file, a trailing
+    delimiter or quoted cells."""
+    header, rows, label_count, labels_last = draw(csv_tables())
+    cells = [list(header), *map(list, rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(cells) - 1))
+        if cells[i]:
+            j = draw(st.integers(0, len(cells[i]) - 1))
+            cells[i][j] = f'"{cells[i][j]}"'
+    lines = [",".join(row) for row in cells]
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] += ","
+    for extra in ("", draw(st.sampled_from([" ", "\t", "  "]))):
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(1, len(lines))), extra)
+    if draw(st.booleans()):
+        lines.append("")
+    ends = draw(st.sampled_from(["\n", "\r", "\r\n", None]))
+    line_ends = [ends or draw(st.sampled_from(["\n", "\r", "\r\n"])) for _ in lines]
+    if not draw(st.booleans()):
+        line_ends[-1] = ""
+    return "".join(map(str.__add__, lines, line_ends)), label_count, labels_last
+
+
 def _outcome(load, path, label_count, labels_last):
     try:
         return load(path, label_count, labels_last=labels_last)
     except ValueError as e:
         return e
+
+
+def _assert_loads_like_reference(path, label_count, labels_last):
+    got = _outcome(load_csv, path, label_count, labels_last)
+    want = _outcome(reference_load_csv, path, label_count, labels_last)
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset)
+        assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
+        assert got.X.flags.c_contiguous
+        assert got.Y.dtype == want.Y.dtype and np.array_equal(got.Y, want.Y)
+        assert got.feature_names == want.feature_names
+        assert got.label_names == want.label_names
+    elif str(want) == "features must be finite":
+        # The one message that changed: the first non-finite feature is named.
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        i, j = _first_non_finite(header, rows, label_count, labels_last)
+        assert type(got) is CsvFormatError
+        assert str(got) == (f"{path}: row {i + 2}, column {header[j]!r}: "
+                            f"value {rows[i][j]!r} is not finite")
+    else:
+        assert type(got) is type(want) and str(got) == str(want)
 
 
 def _first_non_finite(header, rows, label_count, labels_last):
@@ -270,23 +324,53 @@ class TestCsv:
             path = Path(tmp) / "d.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows([header, *rows])
-            got = _outcome(load_csv, path, label_count, labels_last)
-            want = _outcome(reference_load_csv, path, label_count, labels_last)
-        if isinstance(want, Dataset):
-            assert isinstance(got, Dataset)
-            assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
-            assert got.X.flags.c_contiguous
-            assert got.Y.dtype == want.Y.dtype and np.array_equal(got.Y, want.Y)
-            assert got.feature_names == want.feature_names
-            assert got.label_names == want.label_names
-        elif str(want) == "features must be finite":
-            # The one message that changed: the first non-finite feature is named.
-            i, j = _first_non_finite(header, rows, label_count, labels_last)
-            assert type(got) is CsvFormatError
-            assert str(got) == (f"{path}: row {i + 2}, column {header[j]!r}: "
-                                f"value {rows[i][j]!r} is not finite")
-        else:
-            assert type(got) is type(want) and str(got) == str(want)
+            _assert_loads_like_reference(path, label_count, labels_last)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_csv_texts())
+    @example(('"x1",y1\r\n0.5,1\r\n', 1, True))
+    @example(('x1,y1\n0.5,"1"\n', 1, True))
+    @example(("x1,y1\r0.5,1\r-1e3,0", 1, True))
+    @example(("x1,y1\r\n0.5,1\n-1e3,0\r", 1, True))
+    @example(("x1,y1\n0.5,1\r\n\n-2,0\n", 1, True))
+    @example(("x1,y1\n0.5,1\n\n", 1, True))
+    @example(("x1,y1\n0.5,1\n \t\n", 1, True))
+    @example(("x1,y1\n0.5,1,\n", 1, True))
+    def test_raw_text_matches_reference_loader(self, table):
+        text, label_count, labels_last = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            _assert_loads_like_reference(path, label_count, labels_last)
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    def test_plain_file_loads_without_csv_reader(self, tmp_path, monkeypatch, line_end):
+        # save_csv ends lines with \r\n (csv.writer's default): a plain-ASCII
+        # gate that refused either line end would fall back to csv.reader here.
+        ds = gen_synthetic(SynthNetSpec(D=3, L=2, N=40, seed=5))
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        assert b"\r\n" in path.read_bytes()
+        path.write_bytes(path.read_bytes().replace(b"\r\n", line_end.encode()))
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain file")
+
+        monkeypatch.setattr("mlcascade.data.csv.reader", no_reader)
+        loaded = load_csv(path, label_count=2)
+        assert loaded.X.tobytes() == ds.X.tobytes()
+        assert np.array_equal(loaded.Y, ds.Y)
+        assert loaded.feature_names == ds.feature_names
+        assert loaded.label_names == ds.label_names
+
+    def test_line_longer_than_csv_field_limit_takes_the_reference_path(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n" + "0" * csv.field_size_limit() + "1,1\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            reference_load_csv(p, label_count=1)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(p, label_count=1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 3), st.data())
