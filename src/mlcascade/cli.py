@@ -337,10 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main built on its first call; building one takes ~2 ms.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -66,10 +66,6 @@ class Dataset:
     def n_labels(self) -> int:
         return self.Y.shape[1]
 
-    def label_cardinality(self) -> float:
-        """Average number of relevant labels per row."""
-        return float(self.Y.sum(axis=1).mean())
-
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.Y[idx], list(self.feature_names), list(self.label_names))
 

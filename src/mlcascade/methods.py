@@ -13,15 +13,16 @@ elm     flat random projection appended to x, then binary relevance
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Any, ClassVar
+from typing import Any, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .data import Dataset
-from .logistic import LinearModel, TrainConfig
+from .logistic import TrainConfig
 from .synth import (
     LabelIndicatorSet,
     RandomProjection,
@@ -308,120 +309,71 @@ def _with_paths(node: Any, path: str = "$") -> Any:
     return node
 
 
-def _br_to_dict(m: BRModel) -> dict:
-    return {
-        "models": [lm.to_dict() for lm in m.models],
-        "input_dim": m.input_dim,
-    }
+# The classes a model document's kind is read as.  A stacked model is saved
+# as "<first layer's kind>+br", or as "stack" by earlier versions.
+_KINDS = {cls.kind: cls for cls in (BRModel, CCModel, CCASLModel, CCASLAMLModel, ELMBRModel)}
 
 
-def _linear_models(d: dict) -> list[LinearModel]:
-    models = d["models"]
-    if not isinstance(models, list) or not all(isinstance(md, dict) for md in models):
-        raise ValueError(f"field {d.path}.models must be a list of objects")
-    return [LinearModel.from_dict(md) for md in models]
+@cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """The resolved type of each dataclass field of cls, in declaration order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _br_from_dict(d: dict) -> BRModel:
-    return BRModel(
-        models=_linear_models(d),
-        input_dim=d["input_dim"],
-    )
+def _encode(part: Any) -> Any:
+    """The JSON form of a model part.  A part with its own to_dict writes
+    itself; a layer dataclass is its fields in declaration order, where a
+    field typed Any holds a whole model saved with its kind; an array is a
+    list."""
+    if hasattr(part, "to_dict"):
+        return part.to_dict()
+    if isinstance(part, np.ndarray):
+        return part.tolist()
+    if isinstance(part, list):
+        return [_encode(v) for v in part]
+    if not is_dataclass(part):
+        return part
+    return {name: (model_to_dict if tp is Any else _encode)(getattr(part, name))
+            for name, tp in _field_types(type(part)).items()}
 
 
-def _cc_to_dict(m: CCModel) -> dict:
-    return {
-        "models": [lm.to_dict() for lm in m.models],
-        "label_order": m.label_order.tolist(),
-        "input_dim": m.input_dim,
-    }
-
-
-def _cc_from_dict(d: dict) -> CCModel:
-    return CCModel(
-        models=_linear_models(d),
-        label_order=np.asarray(d["label_order"], dtype=np.int64),
-        input_dim=d["input_dim"],
-    )
+def _build(cls: type, d: dict) -> Any:
+    """The instance of cls that _encode wrote as d, each field read by its type."""
+    values = {}
+    for name, tp in _field_types(cls).items():
+        value = d[name]
+        if tp is Any:
+            value = model_from_dict(value)
+        elif get_origin(tp) is list:
+            if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+                raise ValueError(f"field {d.path}.{name} must be a list of objects")
+            value = [get_args(tp)[0].from_dict(v) for v in value]
+        elif hasattr(tp, "from_dict"):
+            value = tp.from_dict(value)
+        elif is_dataclass(tp):
+            value = _build(tp, value)
+        values[name] = value
+    return cls(**values)
 
 
 def model_to_dict(model: Any) -> dict:
     """JSON-ready description of any trained method, tagged with its kind."""
-    kind = model.kind
-    if kind == "br":
-        body = _br_to_dict(model)
-    elif kind == "cc":
-        body = _cc_to_dict(model)
-    elif kind == "ccasl":
-        body = {
-            "cascade": model.cascade.to_dict(),
-            "chain": _cc_to_dict(model.chain),
-            "n_labels": model.n_labels,
-            "cascade_at_test": model.cascade_at_test,
-        }
-    elif isinstance(model, StackedModel):
-        body = {
-            "first_layer": model_to_dict(model.first_layer),
-            "meta": _br_to_dict(model.meta),
-            "input_dim": model.input_dim,
-        }
-    elif kind == "ccasl+aml":
-        body = {
-            "cascade": model.cascade.to_dict(),
-            "indicators": model.indicators.to_dict(),
-            "middle": _cc_to_dict(model.middle),
-            "output": _br_to_dict(model.output),
-            "cascade_at_test": model.cascade_at_test,
-        }
-    elif kind == "elm":
-        body = {
-            "projection": model.projection.to_dict(),
-            "br": _br_to_dict(model.br),
-        }
-    else:
-        raise ValueError(f"cannot serialize model kind {kind!r}")
-    return {"kind": kind, **body}
+    return {"kind": model.kind, **_encode(model)}
 
 
 def model_from_dict(d: dict) -> Any:
     if not isinstance(d, _JsonObject):
         d = _with_paths(d)
     kind = d["kind"]
-    if kind == "br":
-        return _br_from_dict(d)
-    if kind == "cc":
-        return _cc_from_dict(d)
-    if kind == "ccasl":
-        return CCASLModel(
-            cascade=TLUCascade.from_dict(d["cascade"]),
-            chain=_cc_from_dict(d["chain"]),
-            n_labels=d["n_labels"],
-            cascade_at_test=d["cascade_at_test"],
-        )
-    if kind == "stack" or kind.endswith("+br"):
-        first = model_from_dict(d["first_layer"])
-        if kind not in ("stack", first.kind + "+br"):
-            raise ValueError(
-                f"field {d.path}.kind {kind!r} does not fit first layer {first.kind!r}")
-        return StackedModel(
-            first_layer=first,
-            meta=_br_from_dict(d["meta"]),
-            input_dim=d["input_dim"],
-        )
-    if kind == "ccasl+aml":
-        return CCASLAMLModel(
-            cascade=TLUCascade.from_dict(d["cascade"]),
-            indicators=LabelIndicatorSet.from_dict(d["indicators"]),
-            middle=_cc_from_dict(d["middle"]),
-            output=_br_from_dict(d["output"]),
-            cascade_at_test=d["cascade_at_test"],
-        )
-    if kind == "elm":
-        return ELMBRModel(
-            projection=RandomProjection.from_dict(d["projection"]),
-            br=_br_from_dict(d["br"]),
-        )
-    raise ValueError(f"cannot load model kind {kind!r}")
+    stacked = kind == "stack" or kind.endswith("+br")
+    if kind not in _KINDS and not stacked:
+        raise ValueError(f"cannot load model kind {kind!r}")
+    model = _build(StackedModel if stacked else _KINDS[kind], d)
+    if stacked and kind not in ("stack", model.kind):
+        raise ValueError(
+            f"field {d.path}.kind {kind!r} does not fit first layer {model.first_layer.kind!r}")
+    return model
 
 
 def save_model(

@@ -8,6 +8,7 @@ that fire when a chosen group of labels takes one specific bit pattern.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -128,6 +129,10 @@ class LabelIndicatorSet:
     @classmethod
     def from_dict(cls, d: dict) -> "LabelIndicatorSet":
         entries = d["entries"]
+        for i, e in enumerate(entries):
+            if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)):
+                raise ValueError(f"field {getattr(d, 'path', '$')}.entries[{i}] must be a "
+                                 f"pair [subset, code], got {json.dumps(e)}")
         return cls(
             n_labels=d["n_labels"],
             subsets=[tuple(e[0]) for e in entries],

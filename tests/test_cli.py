@@ -252,6 +252,10 @@ class TestTrainPredict:
          'field $.standardizer.mean[0] must be a number, got "0.5"'),
         (lambda d: d["standardizer"].update(std=[1.0, None]),
          "field $.standardizer.std[1] must be a number, got null"),
+        (lambda d: d["model"]["indicators"]["entries"].__setitem__(0, [[0, 1]]),
+         "field $.model.indicators.entries[0] must be a pair [subset, code], got [[0, 1]]"),
+        (lambda d: d["model"]["indicators"]["entries"].__setitem__(0, [[0, 1], 1, 9]),
+         "field $.model.indicators.entries[0] must be a pair [subset, code], got [[0, 1], 1, 9]"),
     ])
     def test_wrong_type_number_list_entry_is_data_error(self, tmp_path, logical_csv,
                                                         capsys, edit, message):
@@ -358,3 +362,12 @@ class TestUsage:
         code = main(["bench", "--dataset", "logical", "--iters", "0",
                      "--out", str(tmp_path)])
         assert code == 1
+
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        assert main(["bench", "--no-such-flag"]) == 1
+        assert main([]) == 1
+        assert built == [1]

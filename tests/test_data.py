@@ -217,7 +217,7 @@ class TestDataset:
 
 class TestGenLogical:
     def test_cardinality_is_three_halves(self):
-        assert gen_logical(20).label_cardinality() == 1.5
+        assert gen_logical(20).Y.sum(axis=1).mean() == 1.5
 
     def test_truth_table_rows(self):
         ds = gen_logical(8)
