@@ -16,7 +16,6 @@ import numpy as np
 
 from .data import (
     Dataset,
-    StandardizationParams,
     SynthNetSpec,
     apply_standardizer,
     fit_standardizer,
@@ -82,32 +81,31 @@ def _write_manifest(csv_path: Path, manifest: dict) -> Path:
 
 
 def _method_config(args) -> MethodConfig:
-    base = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        l2_penalty=args.l2,
-    )
-    return MethodConfig(
-        synthetic_count=args.h,
-        indicator_count=args.hprime,
-        subset_size=args.subset_size,
-        base=base,
-        seed=args.seed,
-    )
+    """The method flags as a MethodConfig; a value out of range is a usage error."""
+    try:
+        base = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2_penalty=args.l2)
+        return MethodConfig(synthetic_count=args.h, indicator_count=args.hprime,
+                            subset_size=args.subset_size, base=base, seed=args.seed)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _generate(kind: str, args, seed: int) -> tuple[Dataset, dict]:
-    """A generated dataset from the --n, --d, --l and --hidden flags, and its manifest."""
-    if kind == "logical":
-        n = args.n if args.n is not None else 20
-        return gen_logical(n), {"kind": "logical", "n": n}
-    spec = SynthNetSpec(
-        D=args.d,
-        L=args.l,
-        N=args.n if args.n is not None else 2000,
-        hidden_units=args.hidden,
-        seed=seed,
-    )
+    """A generated dataset from the --n, --d, --l and --hidden flags, and its
+    manifest; a flag value out of range is a usage error."""
+    try:
+        if kind == "logical":
+            n = args.n if args.n is not None else 20
+            return gen_logical(n), {"kind": "logical", "n": n}
+        spec = SynthNetSpec(
+            D=args.d,
+            L=args.l,
+            N=args.n if args.n is not None else 2000,
+            hidden_units=args.hidden,
+            seed=seed,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     manifest = {
         "kind": "synthetic",
         "n": spec.N,
@@ -195,11 +193,10 @@ def cmd_train(args) -> int:
         )
     if dataset.n_labels == 0:
         raise DataError("training data has no label columns")
-    scaler_doc = None
+    params = None
     if not args.no_standardize:
         params = fit_standardizer(dataset)
         dataset = apply_standardizer(params, dataset)
-        scaler_doc = {"mean": params.mean.tolist(), "std": params.std.tolist()}
     model = train_method(args.method, dataset, _method_config(args))
     with _atomic_file(Path(args.out)) as tmp:
         save_model(
@@ -207,7 +204,7 @@ def cmd_train(args) -> int:
             tmp,
             feature_names=dataset.feature_names,
             label_names=dataset.label_names,
-            standardizer=scaler_doc,
+            standardizer=params,
         )
     print(f"trained {args.method} on {dataset.n_rows} rows; model saved to {args.out}")
     return EXIT_OK
@@ -234,11 +231,8 @@ def cmd_predict(args) -> int:
             f"feature column {j + 1} of {args.data} is {data.feature_names[j]!r}, "
             f"but the model was trained on {trained_names[j]!r} there"
         )
-    if meta.get("standardizer"):
-        params = StandardizationParams(
-            meta["standardizer"]["mean"], meta["standardizer"]["std"]
-        )
-        data = apply_standardizer(params, data)
+    if meta["standardizer"] is not None:
+        data = apply_standardizer(meta["standardizer"], data)
     preds = model.predict(data.X)
     label_names = meta.get("label_names") or [f"y{j + 1}" for j in range(preds.shape[1])]
     with _atomic_file(Path(args.out)) as tmp:

@@ -9,7 +9,7 @@ bitwise identical models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,21 +43,17 @@ class LinearModel:
     """A trained binary classifier: weights[0] is the bias, weights[1:] the coefficients."""
 
     weights: np.ndarray
-    input_dim: int = field(default=-1)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 1:
             raise ValueError("weights must be a 1-D vector")
-        if self.input_dim < 0:
-            self.input_dim = self.weights.shape[0] - 1
-        if self.weights.shape[0] != self.input_dim + 1:
-            raise ValueError(
-                f"weights length {self.weights.shape[0]} != input_dim + 1 "
-                f"({self.input_dim + 1})"
-            )
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
+
+    @property
+    def input_dim(self) -> int:
+        return self.weights.shape[0] - 1
 
     def activation(self, x: np.ndarray) -> np.ndarray | float:
         """Bias plus dot product; accepts one vector or a matrix of rows."""
@@ -75,13 +71,6 @@ class LinearModel:
         if np.ndim(a) == 0:
             return int(a >= 0.0)
         return (a >= 0.0).astype(np.int64)
-
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(weights=np.asarray(d["weights"], dtype=float))
 
 
 def sigmoid(a):
@@ -216,5 +205,5 @@ def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = No
                 )
     # 0.0 - nw, not -nw: a weight the plain loop leaves at zero is +0.0, never
     # -0.0, and nw holds +0.0 for it.
-    return LinearModel(weights=np.concatenate(([b], 0.0 - nw)), input_dim=d)
+    return LinearModel(weights=np.concatenate(([b], 0.0 - nw)))
 

@@ -21,7 +21,7 @@ from typing import Any, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, StandardizationParams
 from .logistic import TrainConfig
 from .synth import (
     LabelIndicatorSet,
@@ -257,7 +257,7 @@ MODEL_VERSION = 1
 _FIELD_TYPES = {
     "kind": ({str}, "a string"),
     "cascade_at_test": ({bool}, "true or false"),
-    **dict.fromkeys(("input_dim", "n_labels", "D", "H"), ({int}, "an integer")),
+    **dict.fromkeys(("input_dim", "n_labels", "D", "H", "seed"), ({int}, "an integer")),
     **dict.fromkeys(("weights", "thresholds", "mean", "std"), ({list, float, int}, "a number")),
     **dict.fromkeys(("label_order", "entries"), ({list, int}, "an integer")),
     **dict.fromkeys(("feature_names", "label_names"), ({list, str}, "a string")),
@@ -314,6 +314,27 @@ def _with_paths(node: Any, path: str = "$") -> Any:
 _KINDS = {cls.kind: cls for cls in (BRModel, CCModel, CCASLModel, CCASLAMLModel, ELMBRModel)}
 
 
+def _encode_indicators(ind: LabelIndicatorSet) -> dict:
+    return {"n_labels": ind.n_labels, "seed": ind.seed,
+            "entries": [[list(s), c] for s, c in zip(ind.subsets, ind.codes)]}
+
+
+def _build_indicators(d: dict) -> LabelIndicatorSet:
+    entries = d["entries"]
+    for i, e in enumerate(entries):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)):
+            raise ValueError(f"field {d.path}.entries[{i}] must be a "
+                             f"pair [subset, code], got {json.dumps(e)}")
+    return LabelIndicatorSet(n_labels=d["n_labels"], subsets=[tuple(e[0]) for e in entries],
+                             codes=[e[1] for e in entries], seed=d["seed"])
+
+
+# The model parts whose saved form is not their fields, with the functions
+# that write and read that form: an indicator set saves its subsets and codes
+# as [subset, code] pairs.
+_CODECS = {LabelIndicatorSet: (_encode_indicators, _build_indicators)}
+
+
 @cache
 def _field_types(cls: type) -> dict[str, Any]:
     """The resolved type of each dataclass field of cls, in declaration order."""
@@ -322,12 +343,12 @@ def _field_types(cls: type) -> dict[str, Any]:
 
 
 def _encode(part: Any) -> Any:
-    """The JSON form of a model part.  A part with its own to_dict writes
-    itself; a layer dataclass is its fields in declaration order, where a
+    """The JSON form of a model part.  A part in _CODECS is written by its
+    codec; any other dataclass is its fields in declaration order, where a
     field typed Any holds a whole model saved with its kind; an array is a
     list."""
-    if hasattr(part, "to_dict"):
-        return part.to_dict()
+    if type(part) in _CODECS:
+        return _CODECS[type(part)][0](part)
     if isinstance(part, np.ndarray):
         return part.tolist()
     if isinstance(part, list):
@@ -339,7 +360,10 @@ def _encode(part: Any) -> Any:
 
 
 def _build(cls: type, d: dict) -> Any:
-    """The instance of cls that _encode wrote as d, each field read by its type."""
+    """The instance of cls that _encode wrote as d: read by its codec if cls is
+    in _CODECS, else each field read by its type."""
+    if cls in _CODECS:
+        return _CODECS[cls][1](d)
     values = {}
     for name, tp in _field_types(cls).items():
         value = d[name]
@@ -348,9 +372,7 @@ def _build(cls: type, d: dict) -> Any:
         elif get_origin(tp) is list:
             if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
                 raise ValueError(f"field {d.path}.{name} must be a list of objects")
-            value = [get_args(tp)[0].from_dict(v) for v in value]
-        elif hasattr(tp, "from_dict"):
-            value = tp.from_dict(value)
+            value = [_build(get_args(tp)[0], v) for v in value]
         elif is_dataclass(tp):
             value = _build(tp, value)
         values[name] = value
@@ -381,14 +403,14 @@ def save_model(
     path: str | Path,
     feature_names: list[str] | None = None,
     label_names: list[str] | None = None,
-    standardizer: dict | None = None,
+    standardizer: StandardizationParams | None = None,
 ) -> None:
     doc = {
         "format": "mlcascade-model",
         "version": MODEL_VERSION,
         "feature_names": feature_names,
         "label_names": label_names,
-        "standardizer": standardizer,
+        "standardizer": _encode(standardizer),
         "model": model_to_dict(model),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -415,7 +437,8 @@ def _check_meta_lengths(meta: dict, model: Any) -> None:
 
 def load_model(path: str | Path) -> tuple[Any, dict]:
     """Load a saved model; returns (model, metadata) where metadata carries the
-    optional feature/label names and feature standardizer stored at save time.
+    optional feature/label names and feature standardizer stored at save time,
+    the standardizer as a StandardizationParams.
 
     Raises ValueError for a file that is not a version-1 model document, and
     names the JSON path of the first missing field, of a scalar field or a
@@ -437,6 +460,8 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
         model = model_from_dict(doc["model"])
         meta = {k: doc.get(k) for k in _META_FIELDS}
         _check_meta_lengths(meta, model)
+        if meta["standardizer"] is not None:
+            meta["standardizer"] = _build(StandardizationParams, meta["standardizer"])
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     except TypeError as e:

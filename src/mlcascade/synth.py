@@ -8,9 +8,8 @@ that fire when a chosen group of labels takes one specific bit pattern.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Any, ClassVar
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,14 +24,15 @@ THRESHOLD_NOISE = 0.1     # threshold jitter as a fraction of the activation std
 class _ThresholdUnits:
     """H random threshold units over D features: unit k fires when the dot
     product of its weight row with its input row strictly exceeds
-    thresholds[k].  A subclass says how wide unit k's row is; the checks and
-    the JSON form are shared."""
+    thresholds[k].  A subclass says how wide unit k's row is; the checks are
+    shared.  The fields are declared in the order a model file saves them."""
 
     D: int
     H: int
-    weights: Any
-    thresholds: np.ndarray
     seed: int = 0
+    # A model file gives the rows as a list of lists; __post_init__ makes arrays of them.
+    weights: list = field(kw_only=True)
+    thresholds: np.ndarray = field(kw_only=True)
 
     chained: ClassVar[bool]
 
@@ -53,20 +53,6 @@ class _ThresholdUnits:
         if not np.all(np.isfinite(self.thresholds)):
             raise ValueError("thresholds must be finite")
         self.weights = rows
-
-    def to_dict(self) -> dict:
-        return {
-            "D": self.D,
-            "H": self.H,
-            "seed": self.seed,
-            "weights": [w.tolist() for w in self.weights],
-            "thresholds": self.thresholds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        return cls(D=d["D"], H=d["H"], weights=d["weights"], thresholds=d["thresholds"],
-                   seed=d.get("seed", 0))
 
 
 class TLUCascade(_ThresholdUnits):
@@ -118,27 +104,6 @@ class LabelIndicatorSet:
     @property
     def n_nodes(self) -> int:
         return len(self.subsets)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_labels": self.n_labels,
-            "seed": self.seed,
-            "entries": [[list(s), c] for s, c in zip(self.subsets, self.codes)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LabelIndicatorSet":
-        entries = d["entries"]
-        for i, e in enumerate(entries):
-            if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)):
-                raise ValueError(f"field {getattr(d, 'path', '$')}.entries[{i}] must be a "
-                                 f"pair [subset, code], got {json.dumps(e)}")
-        return cls(
-            n_labels=d["n_labels"],
-            subsets=[tuple(e[0]) for e in entries],
-            codes=[e[1] for e in entries],
-            seed=d.get("seed", 0),
-        )
 
 
 def _with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:

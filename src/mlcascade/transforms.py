@@ -8,7 +8,7 @@ original features plus a first layer's predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
 
 import numpy as np
@@ -110,11 +110,7 @@ class StackedModel:
 
     first_layer: Any
     meta: BRModel
-    input_dim: int = field(default=-1)
-
-    def __post_init__(self) -> None:
-        if self.input_dim < 0:
-            self.input_dim = self.meta.input_dim - self.first_layer.n_labels
+    input_dim: int
 
     @property
     def kind(self) -> str:

@@ -256,6 +256,11 @@ class TestTrainPredict:
          "field $.model.indicators.entries[0] must be a pair [subset, code], got [[0, 1]]"),
         (lambda d: d["model"]["indicators"]["entries"].__setitem__(0, [[0, 1], 1, 9]),
          "field $.model.indicators.entries[0] must be a pair [subset, code], got [[0, 1], 1, 9]"),
+        (lambda d: d["model"]["cascade"].update(seed="abc"),
+         'field $.model.cascade.seed must be an integer, got "abc"'),
+        (lambda d: d["model"]["indicators"].update(seed=[1.5]),
+         "field $.model.indicators.seed must be an integer, got [1.5]"),
+        (lambda d: d["model"]["cascade"].pop("seed"), "missing field $.model.cascade.seed"),
     ])
     def test_wrong_type_number_list_entry_is_data_error(self, tmp_path, logical_csv,
                                                         capsys, edit, message):
@@ -362,6 +367,18 @@ class TestUsage:
         code = main(["bench", "--dataset", "logical", "--iters", "0",
                      "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        *(["train", "--dataset", "logical", "--method", "ccasl+aml", flag, value]
+          for flag, value in [("--epochs", "0"), ("--lr", "0"), ("--l2", "-1"), ("--h", "-1"),
+                              ("--hprime", "-1"), ("--subset-size", "0")]),
+        ["gen", "synthetic", "--d", "0"],
+        ["gen", "logical", "--n", "3"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_flag_value_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert "mlcascade: error: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_parser_is_built_once_per_process(self, monkeypatch):
         built = []

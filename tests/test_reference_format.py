@@ -1,12 +1,17 @@
-"""The generic model save/load against the per-kind serializers it replaced.
+"""The generic model save/load against the hand-written serializers it replaced.
 
 model_to_dict and model_from_dict now walk a model's dataclass fields and
 look its class up in a kind table, where the functions below wrote and read
-each kind by hand.  They are kept here verbatim (only the two public names
-carry a reference_ prefix) as the definition of format version 1: over random
-shapes, seeds and all six methods, plus stacks over every first layer and
-the legacy "stack" kind, the new writer must give the same JSON bytes, and
-the new reader must give back a model that the reference writes as its input.
+each kind by hand.  They are kept here verbatim as the definition of format
+version 1: the per-kind functions with only the two public names prefixed
+reference_, and the codecs that LinearModel, the threshold units (cascade and
+projection) and LabelIndicatorSet once carried as their own to_dict and
+from_dict methods, as functions of the model part (self) or of the class to
+build (cls).  Over random shapes, seeds and all six methods, plus stacks
+over every first layer and the legacy "stack" kind, the new writer must give
+the same JSON bytes, and the new reader must give back a model that the
+reference writes as its input.  The standardizer next to the model is
+written as the command line once wrote it by hand, as its mean and std lists.
 """
 
 import json
@@ -15,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcascade.data import Dataset
+from mlcascade.data import Dataset, StandardizationParams, apply_standardizer, fit_standardizer
 from mlcascade.logistic import LinearModel, TrainConfig
 from mlcascade.methods import (
     METHOD_NAMES,
@@ -25,17 +30,64 @@ from mlcascade.methods import (
     MethodConfig,
     _JsonObject,
     _with_paths,
+    load_model,
     model_from_dict,
     model_to_dict,
+    save_model,
     train_method,
 )
 from mlcascade.synth import LabelIndicatorSet, RandomProjection, TLUCascade
 from mlcascade.transforms import BRModel, CCModel, StackedModel, train_stack
 
 
+def _linear_to_dict(self) -> dict:
+    return {"weights": self.weights.tolist()}
+
+
+def _linear_from_dict(cls, d: dict) -> "LinearModel":
+    return cls(weights=np.asarray(d["weights"], dtype=float))
+
+
+def _units_to_dict(self) -> dict:
+    return {
+        "D": self.D,
+        "H": self.H,
+        "seed": self.seed,
+        "weights": [w.tolist() for w in self.weights],
+        "thresholds": self.thresholds.tolist(),
+    }
+
+
+def _units_from_dict(cls, d: dict):
+    return cls(D=d["D"], H=d["H"], weights=d["weights"], thresholds=d["thresholds"],
+               seed=d.get("seed", 0))
+
+
+def _indicators_to_dict(self) -> dict:
+    return {
+        "n_labels": self.n_labels,
+        "seed": self.seed,
+        "entries": [[list(s), c] for s, c in zip(self.subsets, self.codes)],
+    }
+
+
+def _indicators_from_dict(cls, d: dict) -> "LabelIndicatorSet":
+    entries = d["entries"]
+    for i, e in enumerate(entries):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)):
+            raise ValueError(f"field {getattr(d, 'path', '$')}.entries[{i}] must be a "
+                             f"pair [subset, code], got {json.dumps(e)}")
+    return cls(
+        n_labels=d["n_labels"],
+        subsets=[tuple(e[0]) for e in entries],
+        codes=[e[1] for e in entries],
+        seed=d.get("seed", 0),
+    )
+
+
 def _br_to_dict(m: BRModel) -> dict:
     return {
-        "models": [lm.to_dict() for lm in m.models],
+        "models": [_linear_to_dict(lm) for lm in m.models],
         "input_dim": m.input_dim,
     }
 
@@ -44,7 +96,7 @@ def _linear_models(d: dict) -> list[LinearModel]:
     models = d["models"]
     if not isinstance(models, list) or not all(isinstance(md, dict) for md in models):
         raise ValueError(f"field {d.path}.models must be a list of objects")
-    return [LinearModel.from_dict(md) for md in models]
+    return [_linear_from_dict(LinearModel, md) for md in models]
 
 
 def _br_from_dict(d: dict) -> BRModel:
@@ -56,7 +108,7 @@ def _br_from_dict(d: dict) -> BRModel:
 
 def _cc_to_dict(m: CCModel) -> dict:
     return {
-        "models": [lm.to_dict() for lm in m.models],
+        "models": [_linear_to_dict(lm) for lm in m.models],
         "label_order": m.label_order.tolist(),
         "input_dim": m.input_dim,
     }
@@ -79,7 +131,7 @@ def reference_model_to_dict(model) -> dict:
         body = _cc_to_dict(model)
     elif kind == "ccasl":
         body = {
-            "cascade": model.cascade.to_dict(),
+            "cascade": _units_to_dict(model.cascade),
             "chain": _cc_to_dict(model.chain),
             "n_labels": model.n_labels,
             "cascade_at_test": model.cascade_at_test,
@@ -92,15 +144,15 @@ def reference_model_to_dict(model) -> dict:
         }
     elif kind == "ccasl+aml":
         body = {
-            "cascade": model.cascade.to_dict(),
-            "indicators": model.indicators.to_dict(),
+            "cascade": _units_to_dict(model.cascade),
+            "indicators": _indicators_to_dict(model.indicators),
             "middle": _cc_to_dict(model.middle),
             "output": _br_to_dict(model.output),
             "cascade_at_test": model.cascade_at_test,
         }
     elif kind == "elm":
         body = {
-            "projection": model.projection.to_dict(),
+            "projection": _units_to_dict(model.projection),
             "br": _br_to_dict(model.br),
         }
     else:
@@ -118,7 +170,7 @@ def reference_model_from_dict(d: dict):
         return _cc_from_dict(d)
     if kind == "ccasl":
         return CCASLModel(
-            cascade=TLUCascade.from_dict(d["cascade"]),
+            cascade=_units_from_dict(TLUCascade, d["cascade"]),
             chain=_cc_from_dict(d["chain"]),
             n_labels=d["n_labels"],
             cascade_at_test=d["cascade_at_test"],
@@ -135,15 +187,15 @@ def reference_model_from_dict(d: dict):
         )
     if kind == "ccasl+aml":
         return CCASLAMLModel(
-            cascade=TLUCascade.from_dict(d["cascade"]),
-            indicators=LabelIndicatorSet.from_dict(d["indicators"]),
+            cascade=_units_from_dict(TLUCascade, d["cascade"]),
+            indicators=_indicators_from_dict(LabelIndicatorSet, d["indicators"]),
             middle=_cc_from_dict(d["middle"]),
             output=_br_from_dict(d["output"]),
             cascade_at_test=d["cascade_at_test"],
         )
     if kind == "elm":
         return ELMBRModel(
-            projection=RandomProjection.from_dict(d["projection"]),
+            projection=_units_from_dict(RandomProjection, d["projection"]),
             br=_br_from_dict(d["br"]),
         )
     raise ValueError(f"cannot load model kind {kind!r}")
@@ -183,3 +235,29 @@ def test_every_method_saves_and_loads_as_the_reference(n, d, n_labels, h, h_prim
     stack = train_stack(data, lambda ds: train_method(stack_over, ds, cfg), cfg.base)
     assert stack.kind == stack_over + "+br"
     _assert_same_format(stack, probe)
+
+
+def test_standardizer_saves_and_loads_as_the_reference(tmp_path):
+    """save_model writes a standardizer as the command line once wrote it by
+    hand, {"mean": [...], "std": [...]}, and load_model reads it back as the
+    StandardizationParams it was."""
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.normal(size=(9, 2)), np.full(9, 4.0)])  # one std at the floor
+    data = Dataset(X, rng.integers(0, 2, size=(9, 2)))
+    params = fit_standardizer(data)
+    model = train_method("br", apply_standardizer(params, data),
+                         MethodConfig(base=TrainConfig(epochs=3)))
+    path = tmp_path / "model.json"
+    save_model(model, path, data.feature_names, data.label_names, params)
+    assert path.read_text(encoding="utf-8") == json.dumps({
+        "format": "mlcascade-model",
+        "version": 1,
+        "feature_names": data.feature_names,
+        "label_names": data.label_names,
+        "standardizer": {"mean": params.mean.tolist(), "std": params.std.tolist()},
+        "model": reference_model_to_dict(model),
+    })
+    _, meta = load_model(path)
+    assert isinstance(meta["standardizer"], StandardizationParams)
+    assert np.array_equal(meta["standardizer"].mean, params.mean)
+    assert np.array_equal(meta["standardizer"].std, params.std)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from mlcascade.data import gen_logical
+from mlcascade.methods import _build, _encode, _with_paths
 from mlcascade.synth import (
     KEEP_PROB,
     THRESHOLD_NOISE,
@@ -16,6 +19,11 @@ from mlcascade.synth import (
     init_projection,
     sample_indicators,
 )
+
+
+def _round_trip(part):
+    """part written to JSON and read back by the model file's field walk."""
+    return _build(type(part), _with_paths(json.loads(json.dumps(_encode(part)))))
 
 
 def int_encode(bits) -> int:
@@ -135,7 +143,7 @@ class TestCascadeEvaluation:
 
     def test_json_round_trip(self, train_X):
         cascade = init_cascade(train_X, 4, seed=9)
-        clone = TLUCascade.from_dict(cascade.to_dict())
+        clone = _round_trip(cascade)
         probe = np.random.default_rng(3).normal(size=(10, 4))
         assert np.array_equal(apply_cascade(cascade, probe), apply_cascade(clone, probe))
         assert np.array_equal(cascade.thresholds, clone.thresholds)
@@ -165,13 +173,13 @@ class TestProjection:
 
     def test_json_round_trip(self, train_X):
         proj = init_projection(train_X, 3, seed=2)
-        clone = RandomProjection.from_dict(proj.to_dict())
+        clone = _round_trip(proj)
         probe = np.random.default_rng(5).normal(size=(8, 4))
         assert np.array_equal(apply_projection(proj, probe), apply_projection(clone, probe))
 
     def test_empty_projection_json_round_trip(self, train_X):
         proj = init_projection(train_X, 0, seed=2)
-        clone = RandomProjection.from_dict(proj.to_dict())
+        clone = _round_trip(proj)
         assert clone.weights.shape == (0, 4)
         assert apply_projection(clone, train_X).shape == (50, 0)
 
@@ -274,5 +282,5 @@ class TestApplyIndicators:
     def test_json_round_trip(self):
         Y = np.random.default_rng(10).integers(0, 2, size=(15, 5))
         ind = sample_indicators(Y, 8, 2, seed=11)
-        clone = LabelIndicatorSet.from_dict(ind.to_dict())
+        clone = _round_trip(ind)
         assert np.array_equal(apply_indicators(ind, Y), apply_indicators(clone, Y))
