@@ -80,6 +80,20 @@ def _write_manifest(csv_path: Path, manifest: dict) -> Path:
     return manifest_path
 
 
+# The flag that sets each checked config field.  A config's error for a
+# value out of range starts with the field's name; the usage error names the
+# flag.
+_FLAGS = {"learning_rate": "--lr", "epochs": "--epochs", "l2_penalty": "--l2",
+          "synthetic_count": "--h", "indicator_count": "--hprime",
+          "subset_size": "--subset-size", "D": "--d", "L": "--l", "N": "--n", "n_rows": "--n",
+          "hidden_units": "--hidden"}
+
+
+def _usage_error(e: ValueError) -> UsageError:
+    """A config's error for a field out of range, as a usage error naming its flag."""
+    return UsageError(f"{_FLAGS[str(e).split()[0]]}: {e}")
+
+
 def _method_config(args) -> MethodConfig:
     """The method flags as a MethodConfig; a value out of range is a usage error."""
     try:
@@ -87,7 +101,7 @@ def _method_config(args) -> MethodConfig:
         return MethodConfig(synthetic_count=args.h, indicator_count=args.hprime,
                             subset_size=args.subset_size, base=base, seed=args.seed)
     except ValueError as e:
-        raise UsageError(str(e)) from None
+        raise _usage_error(e) from None
 
 
 def _generate(kind: str, args, seed: int) -> tuple[Dataset, dict]:
@@ -105,7 +119,7 @@ def _generate(kind: str, args, seed: int) -> tuple[Dataset, dict]:
             seed=seed,
         )
     except ValueError as e:
-        raise UsageError(str(e)) from None
+        raise _usage_error(e) from None
     manifest = {
         "kind": "synthetic",
         "n": spec.N,
@@ -128,11 +142,17 @@ def _load_dataset(args) -> tuple[str, Dataset]:
         )
     if args.label_count is None:
         raise UsageError("--label-count is required for CSV datasets")
+    return path.stem, _read_csv(path, args, "dataset")
+
+
+def _read_csv(path: Path, args, what: str) -> Dataset:
+    """The CSV file at path read with the --label-count and --labels-first flags."""
+    if args.label_count < 0:
+        raise UsageError(f"--label-count must be >= 0, got {args.label_count}")
     try:
-        ds = load_csv(path, args.label_count, labels_last=not args.labels_first)
+        return load_csv(path, args.label_count, labels_last=not args.labels_first)
     except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}") from None
-    return path.stem, ds
+        raise DataError(f"{what} file not found: {path}") from None
 
 
 def cmd_gen(args) -> int:
@@ -215,10 +235,7 @@ def cmd_predict(args) -> int:
         model, meta = load_model(args.model)
     except FileNotFoundError:
         raise DataError(f"model file not found: {args.model}") from None
-    try:
-        data = load_csv(args.data, args.label_count, labels_last=not args.labels_first)
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {args.data}") from None
+    data = _read_csv(Path(args.data), args, "data")
     if data.n_features != model.input_dim:
         raise DataError(
             f"model expects {model.input_dim} features but data has {data.n_features}"
@@ -279,11 +296,13 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
                    help="synthetic label count (default: per-method)")
     p.add_argument("--hprime", type=int, default=None,
                    help="label-subset indicator count (default: 2x labels)")
-    p.add_argument("--subset-size", type=int, default=3,
+    p.add_argument("--subset-size", type=int, default=MethodConfig.subset_size,
                    help="labels per indicator subset")
-    p.add_argument("--lr", type=float, default=0.1, help="base learner step size")
-    p.add_argument("--epochs", type=int, default=1000, help="base learner epochs")
-    p.add_argument("--l2", type=float, default=1e-4, help="base learner L2 penalty")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="base learner step size")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="base learner epochs")
+    p.add_argument("--l2", type=float, default=TrainConfig.l2_penalty,
+                   help="base learner L2 penalty")
 
 
 def build_parser() -> argparse.ArgumentParser:

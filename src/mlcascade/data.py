@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +94,9 @@ class SynthNetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.D < 1 or self.L < 1 or self.N < 1:
-            raise ValueError("D, L and N must all be positive")
-        if self.hidden_units < 0:
-            raise ValueError("hidden_units must be >= 0")
+        for name, low in (("D", 1), ("L", 1), ("N", 1), ("hidden_units", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 # Input rows cycle through these in order: (x1, x2) with labels (or, and, xor).
@@ -112,7 +110,7 @@ def gen_logical(n_rows: int) -> Dataset:
     is exactly 1.5 whenever n_rows is a multiple of 4.
     """
     if n_rows < 4:
-        raise ValueError(f"need at least 4 rows to cover all input combinations, got {n_rows}")
+        raise ValueError(f"n_rows must be >= 4 to cover all input combinations, got {n_rows}")
     X = _LOGICAL_COMBOS[np.arange(n_rows) % 4]
     a = X[:, 0].astype(np.int64)
     b = X[:, 1].astype(np.int64)
@@ -195,16 +193,29 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
                 f"{path}: row {i + 2} has {len(row)} cells, expected {width}"
             )
     feat_idx, lab_idx = _column_ranges(width, label_count, labels_last)
-    try:
-        cells = np.fromiter(
-            map(float, chain.from_iterable(rows)), float, len(rows) * width
-        ).reshape(len(rows), width)
-    except ValueError:
-        raise _first_bad_cell(path, header, rows, feat_idx, lab_idx) from None
-    Y = cells.take(lab_idx, axis=1)
-    if not np.all((Y == 0) | (Y == 1)):
-        raise _first_bad_cell(path, header, rows, feat_idx, lab_idx)
-    X = cells.take(feat_idx, axis=1)
+    # One pass, row by row and features before labels within a row: the
+    # first cell float() rejects, or the first label other than 0 or 1, is
+    # the error.  Appending to lists is faster here than setting array items.
+    xs, ys = [], []
+    for i, row in enumerate(rows):
+        for j in feat_idx:
+            try:
+                xs.append(float(row[j]))
+            except ValueError:
+                raise CsvFormatError(f"{path}: row {i + 2}, column {header[j]!r}: "
+                                     f"cannot parse {row[j]!r} as a number") from None
+        for j in lab_idx:
+            try:
+                v = float(row[j])
+            except ValueError:
+                raise NonBinaryLabelError(f"{path}: row {i + 2}, label {header[j]!r}: "
+                                          f"cannot parse {row[j]!r}") from None
+            if v not in (0.0, 1.0):
+                raise NonBinaryLabelError(f"{path}: row {i + 2}, label {header[j]!r}: "
+                                          f"value {row[j]!r} is not 0 or 1")
+            ys.append(v)
+    X = np.array(xs, dtype=float).reshape(len(rows), len(feat_idx))
+    Y = np.array(ys, dtype=np.int64).reshape(len(rows), label_count)
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):
         i, j = int(bad[0, 0]), feat_idx[bad[0, 1]]
@@ -213,7 +224,7 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
         )
     return Dataset(
         X,
-        Y.astype(np.int64),
+        Y,
         [header[j] for j in feat_idx],
         [header[j] for j in lab_idx],
     )
@@ -271,32 +282,6 @@ def _load_plain_csv(path: str | Path, label_count: int, labels_last: bool) -> Da
         [names[j] for j in feat_idx],
         [names[j] for j in lab_idx],
     )
-
-
-def _first_bad_cell(path, header, rows, feat_idx, lab_idx) -> CsvFormatError:
-    """The error for the first cell, row by row and features before labels within
-    a row, that float() rejects or that is a label other than 0 or 1."""
-    for i, row in enumerate(rows):
-        for j in feat_idx:
-            try:
-                float(row[j])
-            except ValueError:
-                return CsvFormatError(
-                    f"{path}: row {i + 2}, column {header[j]!r}: "
-                    f"cannot parse {row[j]!r} as a number"
-                )
-        for j in lab_idx:
-            try:
-                v = float(row[j])
-            except ValueError:
-                return NonBinaryLabelError(
-                    f"{path}: row {i + 2}, label {header[j]!r}: cannot parse {row[j]!r}"
-                )
-            if v not in (0.0, 1.0):
-                return NonBinaryLabelError(
-                    f"{path}: row {i + 2}, label {header[j]!r}: value {row[j]!r} is not 0 or 1"
-                )
-    raise AssertionError("no bad cell found")
 
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:

@@ -30,12 +30,13 @@ class TrainConfig:
     l2_penalty: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # A step or penalty of inf or nan makes the first epoch diverge.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.l2_penalty < 0:
-            raise ValueError(f"l2_penalty must be >= 0, got {self.l2_penalty}")
+        if not 0 <= self.l2_penalty < math.inf:
+            raise ValueError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
 
 
 @dataclass

@@ -44,11 +44,12 @@ METHOD_NAMES = ("br", "cc", "ccasl", "ccasl+br", "ccasl+aml", "elm")
 class MethodConfig:
     """Method-level knobs on top of the base-learner TrainConfig.
 
-    synthetic_count (H) defaults per method when None: the label count for
-    the chain methods, twice the label count for elm.  indicator_count (H')
-    defaults to twice the label count.  cascade_at_test switches the chain
-    methods to computing synthetic bits from the stored cascade at prediction
-    time instead of predicting them greedily.
+    synthetic_count (H) and indicator_count (H') default per method when
+    None, and each trainer states its default: H is the label count for the
+    chain methods and twice the label count for elm, H' twice the label
+    count.  cascade_at_test switches the chain methods to computing synthetic
+    bits from the stored cascade at prediction time instead of predicting
+    them greedily.
     """
 
     synthetic_count: int | None = None
@@ -65,14 +66,6 @@ class MethodConfig:
             raise ValueError("indicator_count must be >= 0")
         if self.subset_size < 1:
             raise ValueError("subset_size must be >= 1")
-
-    def resolve_h(self, n_labels: int, method: str) -> int:
-        if self.synthetic_count is not None:
-            return self.synthetic_count
-        return 2 * n_labels if method == "elm" else n_labels
-
-    def resolve_h_prime(self, n_labels: int) -> int:
-        return 2 * n_labels if self.indicator_count is None else self.indicator_count
 
 
 @dataclass
@@ -177,7 +170,7 @@ def train_ccasl(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLModel
     """Fit the synthetic cascade on the training features, compute its bits for
     every training row, and train a chain over [bits, labels] in column order."""
     cfg = cfg or MethodConfig()
-    H = cfg.resolve_h(dataset.n_labels, "ccasl")
+    H = dataset.n_labels if cfg.synthetic_count is None else cfg.synthetic_count
     cascade, chain = _train_cascade_chain(dataset, cfg, H, dataset.Y, dataset.label_names)
     return CCASLModel(
         cascade=cascade,
@@ -203,11 +196,11 @@ def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLA
     """
     cfg = cfg or MethodConfig()
     L = dataset.n_labels
-    Hp = cfg.resolve_h_prime(L)
+    H = L if cfg.synthetic_count is None else cfg.synthetic_count
+    Hp = 2 * L if cfg.indicator_count is None else cfg.indicator_count
     indicators = sample_indicators(dataset.Y, Hp, min(cfg.subset_size, L), cfg.seed + 1)
-    cascade, middle = _train_cascade_chain(
-        dataset, cfg, cfg.resolve_h(L, "ccasl+aml"), apply_indicators(indicators, dataset.Y),
-        [f"phi{k + 1}" for k in range(Hp)])
+    cascade, middle = _train_cascade_chain(dataset, cfg, H, apply_indicators(indicators, dataset.Y),
+                                           [f"phi{k + 1}" for k in range(Hp)])
     middle_hat = _chain_bits(cascade, middle, cfg.cascade_at_test, dataset.X)
     return CCASLAMLModel(
         cascade=cascade,
@@ -221,7 +214,7 @@ def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLA
 def train_elm_br(dataset: Dataset, cfg: MethodConfig | None = None) -> ELMBRModel:
     """Fixed random projection of the features, then binary relevance on [x, bits]."""
     cfg = cfg or MethodConfig()
-    H = cfg.resolve_h(dataset.n_labels, "elm")
+    H = 2 * dataset.n_labels if cfg.synthetic_count is None else cfg.synthetic_count
     projection = init_projection(dataset.X, H, cfg.seed)
     br = train_br_over(dataset, apply_projection(projection, dataset.X), cfg.base)
     return ELMBRModel(projection=projection, br=br)
@@ -264,10 +257,6 @@ _FIELD_TYPES = {
     "standardizer": ({dict}, "an object"),
 }
 
-# The fields next to the model in a model document; save_model writes null
-# for those it is not given.
-_META_FIELDS = ("feature_names", "label_names", "standardizer")
-
 
 def _check_type(node: Any, path: str, types: set, name: str) -> None:
     """Raise ValueError naming the path of node, or of the first entry of its
@@ -285,28 +274,15 @@ def _check_type(node: Any, path: str, types: set, name: str) -> None:
         _check_type(v, f"{path}[{i}]", types, name)
 
 
-class _JsonObject(dict):
-    """A JSON object that names its path in the document when a field is missing."""
-
-    def __missing__(self, key):
-        raise ValueError(f"missing field {self.path}.{key}")
-
-
-def _with_paths(node: Any, path: str = "$") -> Any:
-    """Copy of a parsed JSON document whose objects are _JsonObjects.
-
-    Raises ValueError naming the path of a field or list entry of the wrong type."""
-    if isinstance(node, dict):
-        for k, v in node.items():
-            if k in _FIELD_TYPES and not (v is None and k in _META_FIELDS):
-                _check_type(v, f"{path}.{k}", *_FIELD_TYPES[k])
-        obj = _JsonObject((k, _with_paths(v, f"{path}.{k}")) for k, v in node.items())
-        obj.path = path
-        return obj
-    # Lists of numbers (the weights) are most of a model file: skip them.
-    if isinstance(node, list) and node and isinstance(node[0], (dict, list)):
-        return [_with_paths(v, f"{path}[{i}]") for i, v in enumerate(node)]
-    return node
+def _field(d: dict, path: str, name: str) -> Any:
+    """Field name of the JSON object d found at path, type-checked if it is in
+    _FIELD_TYPES; raises ValueError naming the path of a missing field."""
+    if name not in d:
+        raise ValueError(f"missing field {path}.{name}")
+    value = d[name]
+    if name in _FIELD_TYPES:
+        _check_type(value, f"{path}.{name}", *_FIELD_TYPES[name])
+    return value
 
 
 # The classes a model document's kind is read as.  A stacked model is saved
@@ -319,20 +295,20 @@ def _encode_indicators(ind: LabelIndicatorSet) -> dict:
             "entries": [[list(s), c] for s, c in zip(ind.subsets, ind.codes)]}
 
 
-def _build_indicators(d: dict) -> LabelIndicatorSet:
-    entries = d["entries"]
+def _indicator_args(d: dict, path: str) -> dict:
+    entries = _field(d, path, "entries")
     for i, e in enumerate(entries):
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)):
-            raise ValueError(f"field {d.path}.entries[{i}] must be a "
+            raise ValueError(f"field {path}.entries[{i}] must be a "
                              f"pair [subset, code], got {json.dumps(e)}")
-    return LabelIndicatorSet(n_labels=d["n_labels"], subsets=[tuple(e[0]) for e in entries],
-                             codes=[e[1] for e in entries], seed=d["seed"])
+    return {"n_labels": _field(d, path, "n_labels"), "subsets": [tuple(e[0]) for e in entries],
+            "codes": [e[1] for e in entries], "seed": _field(d, path, "seed")}
 
 
 # The model parts whose saved form is not their fields, with the functions
-# that write and read that form: an indicator set saves its subsets and codes
-# as [subset, code] pairs.
-_CODECS = {LabelIndicatorSet: (_encode_indicators, _build_indicators)}
+# that write that form and read it back as the part's constructor arguments:
+# an indicator set saves its subsets and codes as [subset, code] pairs.
+_CODECS = {LabelIndicatorSet: (_encode_indicators, _indicator_args)}
 
 
 @cache
@@ -359,24 +335,29 @@ def _encode(part: Any) -> Any:
             for name, tp in _field_types(type(part)).items()}
 
 
-def _build(cls: type, d: dict) -> Any:
-    """The instance of cls that _encode wrote as d: read by its codec if cls is
-    in _CODECS, else each field read by its type."""
+def _build(cls: type, d: dict, path: str = "$") -> Any:
+    """The instance of cls that _encode wrote as d, found at path in the
+    document: read by its codec if cls is in _CODECS, else each field read by
+    its type.  A ValueError from the constructor's own checks names path."""
     if cls in _CODECS:
-        return _CODECS[cls][1](d)
-    values = {}
-    for name, tp in _field_types(cls).items():
-        value = d[name]
-        if tp is Any:
-            value = model_from_dict(value)
-        elif get_origin(tp) is list:
-            if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-                raise ValueError(f"field {d.path}.{name} must be a list of objects")
-            value = [_build(get_args(tp)[0], v) for v in value]
-        elif is_dataclass(tp):
-            value = _build(tp, value)
-        values[name] = value
-    return cls(**values)
+        values = _CODECS[cls][1](d, path)
+    else:
+        values = {}
+        for name, tp in _field_types(cls).items():
+            value, at = _field(d, path, name), f"{path}.{name}"
+            if tp is Any:
+                value = model_from_dict(value, at)
+            elif get_origin(tp) is list:
+                if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+                    raise ValueError(f"field {at} must be a list of objects")
+                value = [_build(get_args(tp)[0], v, f"{at}[{i}]") for i, v in enumerate(value)]
+            elif is_dataclass(tp):
+                value = _build(tp, value, at)
+            values[name] = value
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def model_to_dict(model: Any) -> dict:
@@ -384,17 +365,16 @@ def model_to_dict(model: Any) -> dict:
     return {"kind": model.kind, **_encode(model)}
 
 
-def model_from_dict(d: dict) -> Any:
-    if not isinstance(d, _JsonObject):
-        d = _with_paths(d)
-    kind = d["kind"]
+def model_from_dict(d: dict, path: str = "$") -> Any:
+    """The model that model_to_dict wrote as d; errors name JSON paths under path."""
+    kind = _field(d, path, "kind")
     stacked = kind == "stack" or kind.endswith("+br")
     if kind not in _KINDS and not stacked:
         raise ValueError(f"cannot load model kind {kind!r}")
-    model = _build(StackedModel if stacked else _KINDS[kind], d)
+    model = _build(StackedModel if stacked else _KINDS[kind], d, path)
     if stacked and kind not in ("stack", model.kind):
         raise ValueError(
-            f"field {d.path}.kind {kind!r} does not fit first layer {model.first_layer.kind!r}")
+            f"field {path}.kind {kind!r} does not fit first layer {model.first_layer.kind!r}")
     return model
 
 
@@ -423,8 +403,8 @@ def _check_meta_lengths(meta: dict, model: Any) -> None:
     lists = [("feature_names", meta["feature_names"], model.input_dim, "inputs"),
              ("label_names", meta["label_names"], model.n_labels, "labels")]
     if meta["standardizer"] is not None:
-        lists += [(f"standardizer.{k}", meta["standardizer"][k], model.input_dim, "inputs")
-                  for k in ("mean", "std")]
+        lists += [(f"standardizer.{k}", _field(meta["standardizer"], "$.standardizer", k),
+                   model.input_dim, "inputs") for k in ("mean", "std")]
     for name, value, count, unit in lists:
         if value is None:
             continue
@@ -443,9 +423,12 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     Raises ValueError for a file that is not a version-1 model document, and
     names the JSON path of the first missing field, of a scalar field or a
     number-list entry of the wrong type, of a "models" field that is not a
-    list of objects and of a metadata list that is not as long as the model's
-    inputs or labels; a field of another wrong type is named by the error
-    numpy or Python raised for it."""
+    list of objects, of a model part that fails its own checks (its arrays
+    do not fit together) and of a metadata list that is not as long as the
+    model's inputs or labels; a field of another wrong type is named by the
+    error numpy or Python raised for it.  The document is checked and built
+    in one walk, so the first of these errors in walk order is the one
+    raised: the metadata types, then the model, then the metadata lengths."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":
@@ -456,12 +439,16 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
             f"(this program reads version {MODEL_VERSION})"
         )
     try:
-        doc = _with_paths(doc)
-        model = model_from_dict(doc["model"])
-        meta = {k: doc.get(k) for k in _META_FIELDS}
+        # save_model writes null for the metadata it is not given.
+        meta = {k: doc.get(k) for k in ("feature_names", "label_names", "standardizer")}
+        for k, value in meta.items():
+            if value is not None:
+                _check_type(value, f"$.{k}", *_FIELD_TYPES[k])
+        model = model_from_dict(_field(doc, "$", "model"), "$.model")
         _check_meta_lengths(meta, model)
         if meta["standardizer"] is not None:
-            meta["standardizer"] = _build(StandardizationParams, meta["standardizer"])
+            meta["standardizer"] = _build(StandardizationParams, meta["standardizer"],
+                                          "$.standardizer")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     except TypeError as e:

@@ -261,6 +261,12 @@ class TestTrainPredict:
         (lambda d: d["model"]["indicators"].update(seed=[1.5]),
          "field $.model.indicators.seed must be an integer, got [1.5]"),
         (lambda d: d["model"]["cascade"].pop("seed"), "missing field $.model.cascade.seed"),
+        (lambda d: d["model"]["cascade"]["weights"].__setitem__(1, [0.1]),
+         "$.model.cascade: unit 1 weight row must have length 3"),
+        (lambda d: d["model"]["middle"]["label_order"].__setitem__(1, 0),
+         "$.model.middle: label_order must be a permutation of the chain positions"),
+        (lambda d: d["model"]["indicators"]["entries"][0].__setitem__(1, 99),
+         "$.model.indicators: code 99 out of range for subset of size 3"),
     ])
     def test_wrong_type_number_list_entry_is_data_error(self, tmp_path, logical_csv,
                                                         capsys, edit, message):
@@ -292,6 +298,8 @@ class TestTrainPredict:
          'field $.feature_names must be a flat list, got "x1"'),
         (lambda d: d.update(standardizer=[0.0, 1.0]),
          "field $.standardizer must be an object, got [0.0, 1.0]"),
+        (lambda d: d["model"]["models"][1].update(weights=[0.1]),
+         "$.model: all per-label models must share input_dim"),
     ])
     def test_malformed_metadata_is_data_error(self, tmp_path, logical_csv, br_doc, capsys,
                                               edit, message):
@@ -370,14 +378,20 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", [
         *(["train", "--dataset", "logical", "--method", "ccasl+aml", flag, value]
-          for flag, value in [("--epochs", "0"), ("--lr", "0"), ("--l2", "-1"), ("--h", "-1"),
+          for flag, value in [("--epochs", "0"), ("--lr", "0"), ("--lr", "inf"), ("--l2", "-1"),
+                              ("--l2", "nan"), ("--l2", "inf"), ("--h", "-1"),
                               ("--hprime", "-1"), ("--subset-size", "0")]),
-        ["gen", "synthetic", "--d", "0"],
+        *(["gen", "synthetic", flag, value]
+          for flag, value in [("--d", "0"), ("--l", "0"), ("--n", "0"), ("--hidden", "-1")]),
         ["gen", "logical", "--n", "3"],
+        ["train", "--dataset", str(DATA / "missing.csv"), "--method", "br",
+         "--label-count", "-1"],
+        ["predict", "--model", str(DATA / "br.json"), "--data", str(DATA / "missing.csv"),
+         "--label-count", "-1"],
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_flag_value_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-        assert "mlcascade: error: " in capsys.readouterr().err
+        assert f"mlcascade: error: {argv[-2]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_parser_is_built_once_per_process(self, monkeypatch):

@@ -7,14 +7,19 @@ version 1: the per-kind functions with only the two public names prefixed
 reference_, and the codecs that LinearModel, the threshold units (cascade and
 projection) and LabelIndicatorSet once carried as their own to_dict and
 from_dict methods, as functions of the model part (self) or of the class to
-build (cls).  Over random shapes, seeds and all six methods, plus stacks
-over every first layer and the legacy "stack" kind, the new writer must give
-the same JSON bytes, and the new reader must give back a model that the
-reference writes as its input.  The standardizer next to the model is
-written as the command line once wrote it by hand, as its mean and std lists.
+build (cls).  The reference reader reads the path-carrying copy of the
+document that _with_paths makes of _JsonObjects, as the model file reader
+once did before it built the model; that reader now checks each field and
+builds the model in one walk.  Over random shapes, seeds and all six
+methods, plus stacks over every first layer and the legacy "stack" kind, the
+new writer must give the same JSON bytes, and the new reader must give back
+a model that the reference writes as its input.  The standardizer next to
+the model is written as the command line once wrote it by hand, as its mean
+and std lists.
 """
 
 import json
+from typing import Any
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,8 +33,8 @@ from mlcascade.methods import (
     CCASLModel,
     ELMBRModel,
     MethodConfig,
-    _JsonObject,
-    _with_paths,
+    _FIELD_TYPES,
+    _check_type,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -38,6 +43,35 @@ from mlcascade.methods import (
 )
 from mlcascade.synth import LabelIndicatorSet, RandomProjection, TLUCascade
 from mlcascade.transforms import BRModel, CCModel, StackedModel, train_stack
+
+
+# The fields next to the model in a model document; save_model writes null
+# for those it is not given.
+_META_FIELDS = ("feature_names", "label_names", "standardizer")
+
+
+class _JsonObject(dict):
+    """A JSON object that names its path in the document when a field is missing."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {self.path}.{key}")
+
+
+def _with_paths(node: Any, path: str = "$") -> Any:
+    """Copy of a parsed JSON document whose objects are _JsonObjects.
+
+    Raises ValueError naming the path of a field or list entry of the wrong type."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k in _FIELD_TYPES and not (v is None and k in _META_FIELDS):
+                _check_type(v, f"{path}.{k}", *_FIELD_TYPES[k])
+        obj = _JsonObject((k, _with_paths(v, f"{path}.{k}")) for k, v in node.items())
+        obj.path = path
+        return obj
+    # Lists of numbers (the weights) are most of a model file: skip them.
+    if isinstance(node, list) and node and isinstance(node[0], (dict, list)):
+        return [_with_paths(v, f"{path}[{i}]") for i, v in enumerate(node)]
+    return node
 
 
 def _linear_to_dict(self) -> dict:

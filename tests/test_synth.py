@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlcascade.data import gen_logical
-from mlcascade.methods import _build, _encode, _with_paths
+from mlcascade.methods import _build, _encode
 from mlcascade.synth import (
     KEEP_PROB,
     THRESHOLD_NOISE,
@@ -23,7 +23,7 @@ from mlcascade.synth import (
 
 def _round_trip(part):
     """part written to JSON and read back by the model file's field walk."""
-    return _build(type(part), _with_paths(json.loads(json.dumps(_encode(part)))))
+    return _build(type(part), json.loads(json.dumps(_encode(part))))
 
 
 def int_encode(bits) -> int:
