@@ -86,12 +86,20 @@ def _write_manifest(csv_path: Path, manifest: dict) -> Path:
 _FLAGS = {"learning_rate": "--lr", "epochs": "--epochs", "l2_penalty": "--l2",
           "synthetic_count": "--h", "indicator_count": "--hprime",
           "subset_size": "--subset-size", "D": "--d", "L": "--l", "N": "--n", "n_rows": "--n",
-          "hidden_units": "--hidden"}
+          "hidden_units": "--hidden", "seed": "--seed"}
 
 
 def _usage_error(e: ValueError) -> UsageError:
     """A config's error for a field out of range, as a usage error naming its flag."""
     return UsageError(f"{_FLAGS[str(e).split()[0]]}: {e}")
+
+
+def _check_seed(seed: int, flag: str) -> None:
+    """A negative generator seed is a usage error naming its flag, --seed or
+    --gen-seed (both set SynthNetSpec.seed), also where the seed goes unused:
+    the logical generator draws nothing, and a CSV dataset is not generated."""
+    if seed < 0:
+        raise UsageError(f"{flag}: seed must be >= 0, got {seed}")
 
 
 def _method_config(args) -> MethodConfig:
@@ -111,28 +119,18 @@ def _generate(kind: str, args, seed: int) -> tuple[Dataset, dict]:
         if kind == "logical":
             n = args.n if args.n is not None else 20
             return gen_logical(n), {"kind": "logical", "n": n}
-        spec = SynthNetSpec(
-            D=args.d,
-            L=args.l,
-            N=args.n if args.n is not None else 2000,
-            hidden_units=args.hidden,
-            seed=seed,
-        )
+        spec = SynthNetSpec(D=args.d, L=args.l, N=args.n if args.n is not None else 2000,
+                            hidden_units=args.hidden, seed=seed)
     except ValueError as e:
         raise _usage_error(e) from None
-    manifest = {
-        "kind": "synthetic",
-        "n": spec.N,
-        "d": spec.D,
-        "l": spec.L,
-        "hidden": spec.hidden_units,
-        "seed": spec.seed,
-    }
+    manifest = {"kind": "synthetic", "n": spec.N, "d": spec.D, "l": spec.L,
+                "hidden": spec.hidden_units, "seed": spec.seed}
     return gen_synthetic(spec), manifest
 
 
 def _load_dataset(args) -> tuple[str, Dataset]:
     source = args.dataset
+    _check_seed(args.gen_seed, "--gen-seed")
     if source in ("logical", "synthetic"):
         return source, _generate(source, args, args.gen_seed)[0]
     path = Path(source)
@@ -157,6 +155,7 @@ def _read_csv(path: Path, args, what: str) -> Dataset:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
+    _check_seed(args.seed, "--seed")
     dataset, manifest = _generate(args.kind, args, args.seed)
     with _atomic_file(out) as tmp:
         save_csv(dataset, tmp)

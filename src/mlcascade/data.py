@@ -94,7 +94,7 @@ class SynthNetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("D", 1), ("L", 1), ("N", 1), ("hidden_units", 0)):
+        for name, low in (("D", 1), ("L", 1), ("N", 1), ("hidden_units", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 

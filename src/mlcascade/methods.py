@@ -66,6 +66,8 @@ class MethodConfig:
             raise ValueError("indicator_count must be >= 0")
         if self.subset_size < 1:
             raise ValueError("subset_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -276,7 +278,9 @@ def _check_type(node: Any, path: str, types: set, name: str) -> None:
 
 def _field(d: dict, path: str, name: str) -> Any:
     """Field name of the JSON object d found at path, type-checked if it is in
-    _FIELD_TYPES; raises ValueError naming the path of a missing field."""
+    _FIELD_TYPES; raises ValueError naming the path of a missing field, or
+    of d if it is not an object."""
+    _check_type(d, path, {dict}, "an object")
     if name not in d:
         raise ValueError(f"missing field {path}.{name}")
     value = d[name]

@@ -124,21 +124,33 @@ class StackedModel:
         return self.meta.predict(np.hstack([x, self.first_layer.predict(x).astype(float)]))
 
 
-def _fit(where: str, X: np.ndarray, y: np.ndarray, config: TrainConfig | None) -> LinearModel:
-    """train_logistic(X, y, config), naming the model's place in its error."""
-    try:
-        return train_logistic(X, y, config)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+def fit_layer(design: np.ndarray, targets: np.ndarray, widths: list[int], names: list[str],
+              config: TrainConfig | None = None) -> list[LinearModel]:
+    """Fit a layer of logistic units: unit j is train_logistic on the first
+    widths[j] columns of design against targets[:, j].
+
+    Every unit of every method is fit here.  A unit reads its columns as a
+    C-contiguous matrix, copied unless design is C-contiguous and the unit
+    reads all of it, so its weights do not depend on the memory layout of
+    the design it was given.  A ValueError from unit j's fit is re-raised
+    prefixed with names[j].
+    """
+    models = []
+    for j, (width, name) in enumerate(zip(widths, names, strict=True)):
+        try:
+            models.append(train_logistic(np.ascontiguousarray(design[:, :width]),
+                                         targets[:, j], config))
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
+    return models
 
 
 def train_br(dataset: Dataset, config: TrainConfig | None = None) -> BRModel:
     """Train one logistic model per label column, each on (X, Y[:, j])."""
-    models = [
-        _fit(f"label {name!r}", dataset.X, dataset.Y[:, j], config)
-        for j, name in enumerate(dataset.label_names)
-    ]
-    return BRModel(models=models, input_dim=dataset.n_features)
+    D = dataset.n_features
+    names = [f"label {name!r}" for name in dataset.label_names]
+    return BRModel(models=fit_layer(dataset.X, dataset.Y, [D] * len(names), names, config),
+                   input_dim=D)
 
 
 def train_cc(
@@ -153,18 +165,16 @@ def train_cc(
     forward at prediction time.
     """
     L = dataset.n_labels
-    if label_order is None:
-        label_order = np.arange(L)
-    order = np.asarray(label_order, dtype=np.int64)
+    order = np.arange(L) if label_order is None else np.asarray(label_order, dtype=np.int64)
     if sorted(order.tolist()) != list(range(L)):
         raise ValueError(f"label_order must be a permutation of 0..{L - 1}")
-    X = dataset.X
-    models = []
-    for j in range(L):
-        feats = np.hstack([X, dataset.Y[:, order[:j]].astype(float)])
-        where = f"chain position {j} (target {dataset.label_names[order[j]]!r})"
-        models.append(_fit(where, feats, dataset.Y[:, order[j]], config))
-    return CCModel(models=models, label_order=order, input_dim=dataset.n_features)
+    D = dataset.n_features
+    # [x | y in chain order], cut to the last position's D + L - 1 columns.
+    design = np.hstack([dataset.X, dataset.Y[:, order[:-1]].astype(float)])
+    names = [f"chain position {j} (target {dataset.label_names[k]!r})"
+             for j, k in enumerate(order)]
+    models = fit_layer(design, dataset.Y[:, order], list(range(D, D + L)), names, config)
+    return CCModel(models=models, label_order=order, input_dim=D)
 
 
 def train_stack(

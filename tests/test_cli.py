@@ -210,13 +210,25 @@ class TestTrainPredict:
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m["meta"].update(models=5),
          "field $.model.meta.models must be a list of objects"),
-        (lambda m: m.update(first_layer=5), "a model field has the wrong type: "),
+        (lambda m: m.update(first_layer=5), "field $.model.first_layer must be an object, got 5"),
+        (lambda m: m.update(first_layer="abc"),
+         'field $.model.first_layer must be an object, got "abc"'),
+        (lambda m: m.update(first_layer=[]), "field $.model.first_layer must be an object, got []"),
+        (lambda m: m["first_layer"].update(cascade=[1]),
+         "field $.model.first_layer.cascade must be an object, got [1]"),
     ])
     def test_wrong_type_model_field_is_data_error(self, tmp_path, logical_csv,
                                                   model_doc, capsys, edit, message):
         edit(model_doc["model"])
         assert self._predict(tmp_path, model_doc, logical_csv) == 2
         assert f"edited.json: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, shown", [(5, "5"), ("abc", '"abc"'), ([], "[]")])
+    def test_model_that_is_not_an_object_is_data_error(self, tmp_path, logical_csv,
+                                                       model_doc, capsys, model, shown):
+        model_doc["model"] = model
+        assert self._predict(tmp_path, model_doc, logical_csv) == 2
+        assert f"edited.json: field $.model must be an object, got {shown}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m["first_layer"].update(cascade_at_test="false"),
@@ -384,6 +396,14 @@ class TestUsage:
         *(["gen", "synthetic", flag, value]
           for flag, value in [("--d", "0"), ("--l", "0"), ("--n", "0"), ("--hidden", "-1")]),
         ["gen", "logical", "--n", "3"],
+        # A negative seed; --seed and --gen-seed both set a generator's seed.
+        ["gen", "synthetic", "--seed", "-1"],
+        ["gen", "logical", "--seed", "-1"],
+        ["bench", "--dataset", "logical", "--seed", "-1"],
+        ["train", "--dataset", "logical", "--method", "br", "--seed", "-1"],
+        ["train", "--dataset", "synthetic", "--method", "br", "--gen-seed", "-1"],
+        ["bench", "--dataset", str(DATA / "missing.csv"), "--label-count", "3",
+         "--gen-seed", "-1"],
         ["train", "--dataset", str(DATA / "missing.csv"), "--method", "br",
          "--label-count", "-1"],
         ["predict", "--model", str(DATA / "br.json"), "--data", str(DATA / "missing.csv"),
@@ -391,7 +411,7 @@ class TestUsage:
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_flag_value_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-        assert f"mlcascade: error: {argv[-2]}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"mlcascade: error: {argv[-2]}")
         assert not list(tmp_path.iterdir())
 
     def test_parser_is_built_once_per_process(self, monkeypatch):

@@ -275,6 +275,8 @@ class TestGenSynthetic:
             SynthNetSpec(D=0, L=1, N=10)
         with pytest.raises(ValueError):
             SynthNetSpec(D=1, L=1, N=10, hidden_units=-1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SynthNetSpec(D=1, L=1, N=10, seed=-1)
 
 
 class TestCsv:

@@ -203,6 +203,20 @@ class TestUniformContract:
         with pytest.raises(ValueError, match=r"\$.kind 'cc\+br' does not fit first layer 'ccasl'"):
             model_from_dict({**d, "kind": "cc+br"})
 
+    def test_model_part_that_is_not_an_object_is_named(self, small_random):
+        d = model_to_dict(train_method("ccasl+br", small_random, MethodConfig(seed=14)))
+        for part, shown in [(5, "5"), ("abc", '"abc"'), ([], "[]")]:
+            for doc, path in [(part, "$"), ({**d, "first_layer": part}, "$.first_layer"),
+                              ({**d, "first_layer": {**d["first_layer"], "chain": part}},
+                               "$.first_layer.chain")]:
+                with pytest.raises(ValueError) as e:
+                    model_from_dict(doc)
+                assert str(e.value) == f"field {path} must be an object, got {shown}"
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            MethodConfig(seed=-1)
+
     def test_dict_round_trip_is_stable(self, small_random):
         model = train_method("ccasl+aml", small_random, MethodConfig(seed=14))
         d = model_to_dict(model)

@@ -1,7 +1,8 @@
 """Property tests over small random shapes (N rows, D features, L labels, H
 synthetic units) with few epochs: the save/load round trip of every method,
 the degenerate equivalences between methods, and what a chain does with
-known earlier bits."""
+known earlier bits.  The equivalences hold bit for bit whatever the memory
+layout of the features (C- or Fortran-ordered, a column slice, strided)."""
 
 import tempfile
 from pathlib import Path
@@ -28,9 +29,23 @@ from mlcascade.transforms import train_br, train_br_over, train_cc
 BASE = TrainConfig(epochs=5, learning_rate=0.5)
 
 
-def _dataset(n: int, d: int, L: int, seed: int) -> Dataset:
+LAYOUTS = ("C", "F", "sliced", "strided")
+
+
+def _dataset(n: int, d: int, L: int, seed: int, layout: str = "C") -> Dataset:
     rng = np.random.default_rng(seed)
-    return Dataset(rng.normal(size=(n, d)), rng.integers(0, 2, size=(n, L)))
+    X = rng.normal(size=(n, d))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "sliced":
+        wide = np.zeros((n, d + 3))
+        wide[:, 2 : 2 + d] = X
+        X = wide[:, 2 : 2 + d]
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 3 * d))
+        wide[::2, 1::3] = X
+        X = wide[::2, 1::3]
+    return Dataset(X, rng.integers(0, 2, size=(n, L)))
 
 
 def _probe(d: int, seed: int) -> np.ndarray:
@@ -62,9 +77,9 @@ def test_save_load_predicts_identically(name, h, hp, n, d, L, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**shapes)
-def test_ccasl_without_synthetics_is_cc(n, d, L, seed):
-    ds = _dataset(n, d, L, seed)
+@given(layout=st.sampled_from(LAYOUTS), **shapes)
+def test_ccasl_without_synthetics_is_cc(layout, n, d, L, seed):
+    ds = _dataset(n, d, L, seed, layout)
     ccasl = train_ccasl(ds, MethodConfig(synthetic_count=0, base=BASE, seed=seed))
     cc = train_cc(ds, None, BASE)
     for a, b in zip(ccasl.chain.models, cc.models, strict=True):
@@ -74,9 +89,9 @@ def test_ccasl_without_synthetics_is_cc(n, d, L, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**shapes)
-def test_elm_without_projection_is_br(n, d, L, seed):
-    ds = _dataset(n, d, L, seed)
+@given(layout=st.sampled_from(LAYOUTS), **shapes)
+def test_elm_without_projection_is_br(layout, n, d, L, seed):
+    ds = _dataset(n, d, L, seed, layout)
     elm = train_elm_br(ds, MethodConfig(synthetic_count=0, base=BASE, seed=seed))
     br = train_br(ds, BASE)
     for a, b in zip(elm.br.models, br.models, strict=True):
@@ -86,9 +101,9 @@ def test_elm_without_projection_is_br(n, d, L, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**{**shapes, "L": st.just(1)})
-def test_br_is_cc_for_one_label(n, d, L, seed):
-    ds = _dataset(n, d, L, seed)
+@given(layout=st.sampled_from(LAYOUTS), **{**shapes, "L": st.just(1)})
+def test_br_is_cc_for_one_label(layout, n, d, L, seed):
+    ds = _dataset(n, d, L, seed, layout)
     br = train_br(ds, BASE)
     cc = train_cc(ds, None, BASE)
     assert np.array_equal(br.models[0].weights, cc.models[0].weights)

@@ -1,4 +1,5 @@
-"""The cascade, projection and greedy-chain loops against the loops they replaced.
+"""The cascade, projection, greedy-chain and training loops against plain
+per-unit loops.
 
 init_cascade, init_projection and apply_cascade now share one [x | bits]
 matrix per call, and CCModel.predict fills one preallocated [x | chain bits]
@@ -6,13 +7,20 @@ matrix, where the loops below built a fresh np.hstack copy per unit or chain
 position.  The loops are kept here verbatim as references: weights,
 thresholds and bits must be equal bit for bit, over row counts, widths,
 memory layouts of the input, single 1-D rows and every prefix length.
+
+train_br and train_cc fit every unit through one fit_layer call over one
+design matrix.  Their reference fits each unit on its own C-contiguous
+[x | earlier labels in chain order]: the weights must be equal bit for bit
+whatever the memory layout of x, and a diverging fit must fail with the
+same message, naming the same unit.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcascade.logistic import LinearModel, as_rows
+from mlcascade.data import Dataset
+from mlcascade.logistic import LinearModel, TrainConfig, as_rows, train_logistic
 from mlcascade.synth import (
     KEEP_PROB,
     THRESHOLD_NOISE,
@@ -23,7 +31,7 @@ from mlcascade.synth import (
     init_cascade,
     init_projection,
 )
-from mlcascade.transforms import CCModel
+from mlcascade.transforms import CCModel, train_br, train_cc
 
 
 def reference_init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
@@ -107,6 +115,29 @@ def reference_chain_predict(self: CCModel, x: np.ndarray,
     return out[0] if single else out
 
 
+def reference_fit(where: str, X: np.ndarray, y: np.ndarray,
+                  config: TrainConfig) -> LinearModel:
+    try:
+        return train_logistic(np.ascontiguousarray(X), y, config)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def reference_train_br(dataset: Dataset, config: TrainConfig) -> list[LinearModel]:
+    return [reference_fit(f"label {name!r}", dataset.X, dataset.Y[:, j], config)
+            for j, name in enumerate(dataset.label_names)]
+
+
+def reference_train_cc(dataset: Dataset, order: np.ndarray,
+                       config: TrainConfig) -> list[LinearModel]:
+    models = []
+    for j in range(dataset.n_labels):
+        feats = np.hstack([dataset.X, dataset.Y[:, order[:j]].astype(float)])
+        where = f"chain position {j} (target {dataset.label_names[order[j]]!r})"
+        models.append(reference_fit(where, feats, dataset.Y[:, order[j]], config))
+    return models
+
+
 # GEMV sums in another order on C- and Fortran-ordered matrices, and on a
 # column slice of a wider matrix it reads rows with another stride.
 LAYOUTS = ("C", "F", "C-sliced", "F-sliced")
@@ -119,6 +150,10 @@ def _matrix(n: int, d: int, kind: str, seed: int, layout: str) -> np.ndarray:
     X = rng.normal(size=(n, d)) if kind == "normal" else rng.integers(-2, 3, (n, d)) * 0.5
     if layout in ("C", "F"):
         return np.asarray(X, order=layout)
+    if layout == "strided":
+        wide = np.zeros((2 * n, 3 * d))
+        wide[::2, 1::3] = X
+        return wide[::2, 1::3]
     wide = np.zeros((n, d + 3), order=layout[0])
     wide[:, 2 : 2 + d] = X
     return wide[:, 2 : 2 + d]
@@ -179,3 +214,37 @@ def test_chain_predict_matches_reference(L, data, n, d, kind, layout, seed):
     assert _same(chain.predict(X, prefix=prefix), reference_chain_predict(chain, X, prefix))
     assert _same(chain.predict(X[0], prefix=prefix[0]),
                  reference_chain_predict(chain, X[0], prefix[0]))
+
+
+def _fits(train):
+    """The weights of the models train() returns, or the message of the
+    ValueError it raises."""
+    try:
+        return [m.weights for m in train()]
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.integers(1, 6), lr=st.sampled_from([0.5, 1e30]), epochs=st.integers(1, 30),
+       n=st.integers(1, 40), d=st.integers(1, 6), kind=st.sampled_from(["normal", "integer"]),
+       layout=st.sampled_from(LAYOUTS + ("strided",)), seed=st.integers(0, 2**32 - 1))
+def test_training_matches_reference(L, lr, epochs, n, d, kind, layout, seed):
+    X = _matrix(n, d, kind, seed, layout)
+    rng = np.random.default_rng(seed + 1)
+    dataset = Dataset(X, rng.integers(0, 2, size=(n, L)))
+    order = rng.permutation(L)
+    config = TrainConfig(learning_rate=lr, epochs=epochs)
+    for new, ref in [
+        (_fits(lambda: train_br(dataset, config).models),
+         _fits(lambda: reference_train_br(dataset, config))),
+        (_fits(lambda: train_cc(dataset, order, config).models),
+         _fits(lambda: reference_train_cc(dataset, order, config))),
+    ]:
+        if isinstance(ref, str):
+            # lr=1e30 makes a fit diverge by epoch 13; the message names
+            # the unit and the epoch.
+            assert new == ref
+        else:
+            assert not isinstance(new, str)
+            assert all(_same(a, b) for a, b in zip(new, ref, strict=True))

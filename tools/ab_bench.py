@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Compare two checkouts of this repository with its benchmark, in alternating pairs.
+
+    python3 tools/ab_bench.py --parent DIR --change DIR --workload logical \\
+        --pairs 10 --seconds 30 --seed 1
+
+Pair k runs ``python3 bench/run.py --workload W --seed K+k --seconds S
+--trace 0`` in the parent checkout and in the changed one.  The side that
+runs first alternates from pair to pair, so a drift in machine speed falls
+on both sides alike.  Each run's result line is echoed to standard error as
+it arrives.
+
+For every end-to-end metric that BENCHMARK.json (next to this tool's
+directory) declares, the summary gives each side's median and quartiles over
+the pairs, the pairs each side won (ties count for neither) and whether the
+change's median is worse than the parent's by more than the metric's bound,
+as a fraction of the parent's median.  It also gives each side's failed and
+attempted op counts.  Nothing is written to either checkout beyond what the
+benchmark itself writes.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result object that bench/run.py prints last, run in checkout."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"ab_bench: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def worse_by(parent: float, change: float, better: str) -> float:
+    """How much worse change is than parent, as a fraction of parent (<= 0 if
+    it is not worse)."""
+    loss = change - parent if better == "lower" else parent - change
+    if parent == 0:
+        return float("inf") if loss > 0 else 0.0
+    return loss / abs(parent)
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
+    """Summary lines for pairs of results ({"parent": result, "change": result})
+    over the end-to-end metrics declared in BENCHMARK.json."""
+    lines = [f"{'metric':<14} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34} "
+             f"{'wins p:c':>8}  verdict"]
+    for m in metrics:
+        name, better, bound = m["name"], m["better"], m["bound"]
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs
+                         if name in p[side]["metrics"]] for side in SIDES}
+        if not all(values.values()):
+            continue
+        quartiles = {side: np.percentile(v, [25, 50, 75]) for side, v in values.items()}
+        wins = dict.fromkeys(SIDES, 0)
+        for a, b in zip(values["parent"], values["change"]):
+            if a != b:
+                wins["change" if (b < a) == (better == "lower") else "parent"] += 1
+        loss = worse_by(quartiles["parent"][1], quartiles["change"][1], better)
+        verdict = f"WORSE by {loss:.1%} > {bound:.0%}" if loss > bound else "within bound"
+        shown = {side: " / ".join(f"{v:.4g}" for v in q) for side, q in quartiles.items()}
+        lines.append(f"{name:<14} {shown['parent']:>34} {shown['change']:>34} "
+                     f"{wins['parent']:>4}:{wins['change']:<3}  {verdict}")
+    for side in SIDES:
+        failed = sum(p[side]["failed"] for p in pairs)
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        correct = sum(bool(p[side]["correct"]) for p in pairs)
+        lines.append(f"{side}: {failed}/{attempted} ops failed, "
+                     f"{correct}/{len(pairs)} runs correct")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    p.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seed", type=int, default=1, help="pair k runs seed + k")
+    args = p.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    checkouts = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for k in range(args.pairs):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {}
+        for side in order:
+            pair[side] = run_bench(checkouts[side], args.workload, args.seed + k, args.seconds)
+            print(json.dumps({"pair": k, "side": side, **pair[side]}), file=sys.stderr,
+                  flush=True)
+        pairs.append(pair)
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds "
+          f"{args.seed}..{args.seed + args.pairs - 1}")
+    print("\n".join(summarize(pairs, spec["end_to_end"])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
