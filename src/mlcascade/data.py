@@ -129,29 +129,39 @@ def gen_synthetic(spec: SynthNetSpec) -> Dataset:
 
     Draw order (fixed contract): features, then the hidden-layer weights if
     any, then the readout weights.
+
+    At most one N x hidden_units matrix is held: the ReLU is applied in
+    place, and the hidden layer is dropped once the readout is computed.
+    Each product is one matrix product over all rows, as a split into row
+    blocks could change the kernel BLAS picks and with it the bits.
     """
     rng = np.random.default_rng(spec.seed)
     X = rng.standard_normal((spec.N, spec.D))
     if spec.hidden_units > 0:
         V = rng.standard_normal((spec.hidden_units, spec.D))
-        hidden = np.maximum(X @ V.T, 0.0)
+        hidden = X @ V.T
+        np.maximum(hidden, 0.0, out=hidden)
     else:
         hidden = X
     U = rng.standard_normal((spec.L, hidden.shape[1]))
     scores = hidden @ U.T
+    del hidden
     tau = np.median(scores, axis=0)
     Y = (scores > tau).astype(np.int64)
     return Dataset(X, Y)
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset as CSV: header row, features first, labels in the trailing columns."""
+    """Write a dataset as CSV: header row, features first, labels in the trailing columns.
+
+    Rows are converted to Python numbers one at a time, so the memory this
+    takes does not grow with the row count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.feature_names + dataset.label_names)
         writer.writerows(
-            [*map(repr, xi), *map(str, yi)]
-            for xi, yi in zip(dataset.X.tolist(), dataset.Y.tolist())
+            [*map(repr, xi.tolist()), *map(str, yi.tolist())]
+            for xi, yi in zip(dataset.X, dataset.Y)
         )
 
 

@@ -305,6 +305,11 @@ def _indicator_args(d: dict, path: str) -> dict:
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)):
             raise ValueError(f"field {path}.entries[{i}] must be a "
                              f"pair [subset, code], got {json.dumps(e)}")
+        # _FIELD_TYPES admits integer lists at any depth; a subset item and a
+        # code are plain integers.
+        for j, item in enumerate(e[0]):
+            _check_type(item, f"{path}.entries[{i}][0][{j}]", {int}, "an integer")
+        _check_type(e[1], f"{path}.entries[{i}][1]", {int}, "an integer")
     return {"n_labels": _field(d, path, "n_labels"), "subsets": [tuple(e[0]) for e in entries],
             "codes": [e[1] for e in entries], "seed": _field(d, path, "seed")}
 

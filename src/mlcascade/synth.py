@@ -107,13 +107,14 @@ class LabelIndicatorSet:
 
 
 def _with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:
-    """[X | H bit columns] in one matrix, laid out as np.hstack lays out X next
-    to a column: in Fortran order when X's columns are its contiguous axis,
-    else in C order.  A GEMV sums in another order on the two layouts, and on
-    a column slice of this matrix in the same order as on an np.hstack copy."""
+    """[X | H bit columns] in one C-contiguous matrix, whatever X's layout.
+
+    A GEMV sums in another order on C- and Fortran-ordered matrices, but in
+    the same order on a column prefix of this matrix as on a C-contiguous
+    copy of that prefix; so units that read their prefix of it give the same
+    bits for every layout of X."""
     n, D = X.shape
-    fortran = n > 1 and D > 1 and abs(X.strides[1]) > abs(X.strides[0])
-    out = np.empty((n, D + H), order="F" if fortran else "C")
+    out = np.empty((n, D + H))
     out[:, :D] = X
     return out
 
@@ -144,7 +145,7 @@ def _draw_units(cls: type, train_X: np.ndarray, H: int, seed: int):
         width = cls.row_width(D, k)
         row = rng.normal(0.0, WEIGHT_STD, size=width)
         row = row * (rng.random(width) < KEEP_PROB)
-        a = (inputs[:, :width] if width > D else train_X) @ row
+        a = inputs[:, :width] @ row
         t = float(a.mean()) + THRESHOLD_NOISE * float(a.std()) * float(rng.standard_normal())
         inputs[:, D + k] = a > t
         weights.append(row)
@@ -165,7 +166,7 @@ def apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
     D = cascade.D
     inputs = _with_bit_columns(X, cascade.H)
     for k, (row, t) in enumerate(zip(cascade.weights, cascade.thresholds)):
-        inputs[:, D + k] = (inputs[:, : D + k] if k else X) @ row > t
+        inputs[:, D + k] = inputs[:, : D + k] @ row > t
     Z = inputs[:, D:].astype(np.int64)
     return Z[0] if single else Z
 
@@ -177,7 +178,8 @@ def init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
 
 def apply_projection(proj: RandomProjection, x: np.ndarray) -> np.ndarray:
     X, single = as_rows(x, proj.D)
-    Z = (X @ proj.weights.T > proj.thresholds).astype(np.int64)
+    # A C-contiguous X makes the product, and so the bits, independent of x's layout.
+    Z = (np.ascontiguousarray(X) @ proj.weights.T > proj.thresholds).astype(np.int64)
     return Z[0] if single else Z
 
 

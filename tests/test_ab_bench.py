@@ -65,6 +65,39 @@ def test_summary_covers_every_end_to_end_metric_of_the_benchmark():
     assert all(line.endswith("within bound") for line in lines[1:1 + len(metrics)])
 
 
+def _claim(lines, name):
+    """The claim column of a metric's row: the token after the wins p:c."""
+    tokens = _row(lines, name).split()
+    return tokens[next(i for i, t in enumerate(tokens) if ":" in t) + 1]
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_margin_over_the_parent_iqr():
+    # Parent op_s over ten pairs: quartiles 1.225 / 1.45 / 1.675, IQR 0.45.
+    parent = [1.0 + 0.1 * k for k in range(10)]
+    cases = [
+        # Faster by 0.5 in every pair: the median gap 0.5 exceeds the IQR.
+        ([p - 0.5 for p in parent], "GAIN"),
+        # Faster by 0.5 in nine pairs, slower in one: 9 of 10 still claims.
+        ([p - 0.5 for p in parent[:9]] + [parent[9] + 0.1], "GAIN"),
+        # Faster by 0.5 in eight pairs, tied in two: 8 of 10 does not.
+        ([p - 0.5 for p in parent[:8]] + parent[8:], "-"),
+        # Faster in every pair, by 0.4: within the parent's own spread.
+        ([p - 0.4 for p in parent], "-"),
+    ]
+    for change, claim in cases:
+        pairs = [{"parent": _result(p, 100.0 * p), "change": _result(c, 100.0 * c)}
+                 for p, c in zip(parent, change)]
+        lines = ab_bench.summarize(pairs, METRICS)
+        assert lines[0].split()[-2:] == ["claim", "verdict"]
+        assert _claim(lines, "op_s.p50") == claim
+        # cells_per_s is better higher: the same values are a loss there.
+        assert _claim(lines, "cells_per_s") == "-"
+    # Higher is better: ten wins by 50 cells/s over an IQR of 45.
+    pairs = [{"parent": _result(p, 100.0 * p), "change": _result(p, 100.0 * p + 50.0)}
+             for p in parent]
+    assert _claim(ab_bench.summarize(pairs, METRICS), "cells_per_s") == "GAIN"
+
+
 def test_worse_by_follows_the_metric_direction():
     assert ab_bench.worse_by(2.0, 3.0, "lower") == 0.5
     assert ab_bench.worse_by(2.0, 1.0, "lower") == -0.5

@@ -260,6 +260,10 @@ class TestTrainPredict:
          'field $.model.indicators.entries[0][0][0] must be an integer, got "0"'),
         (lambda d: d["model"]["indicators"]["entries"][1].__setitem__(1, False),
          "field $.model.indicators.entries[1][1] must be an integer, got false"),
+        (lambda d: d["model"]["indicators"]["entries"][0].__setitem__(1, [1]),
+         "field $.model.indicators.entries[0][1] must be an integer, got [1]"),
+        (lambda d: d["model"]["indicators"]["entries"][0][0].__setitem__(0, [1]),
+         "field $.model.indicators.entries[0][0][0] must be an integer, got [1]"),
         (lambda d: d["standardizer"]["mean"].__setitem__(0, "0.5"),
          'field $.standardizer.mean[0] must be a number, got "0.5"'),
         (lambda d: d["standardizer"].update(std=[1.0, None]),

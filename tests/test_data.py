@@ -1,6 +1,7 @@
 import csv
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,43 @@ def reference_save_csv(dataset: Dataset, path: str | Path) -> None:
         writer.writerow(dataset.feature_names + dataset.label_names)
         for xi, yi in zip(dataset.X, dataset.Y):
             writer.writerow([repr(float(v)) for v in xi] + [str(int(v)) for v in yi])
+
+
+def reference_save_csv_whole_matrix(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset as CSV: header row, features first, labels in the trailing columns."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset.feature_names + dataset.label_names)
+        writer.writerows(
+            [*map(repr, xi), *map(str, yi)]
+            for xi, yi in zip(dataset.X.tolist(), dataset.Y.tolist())
+        )
+
+
+def reference_gen_synthetic(spec: SynthNetSpec) -> Dataset:
+    rng = np.random.default_rng(spec.seed)
+    X = rng.standard_normal((spec.N, spec.D))
+    if spec.hidden_units > 0:
+        V = rng.standard_normal((spec.hidden_units, spec.D))
+        hidden = np.maximum(X @ V.T, 0.0)
+    else:
+        hidden = X
+    U = rng.standard_normal((spec.L, hidden.shape[1]))
+    scores = hidden @ U.T
+    tau = np.median(scores, axis=0)
+    Y = (scores > tau).astype(np.int64)
+    return Dataset(X, Y)
+
+
+def traced_peak(fn) -> int:
+    """Bytes that fn() allocated at its peak, over what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def reference_load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Dataset:
@@ -270,6 +308,26 @@ class TestGenSynthetic:
         acc = (br.predict(ds.X) == ds.Y).mean()
         assert acc >= 0.99
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 80), st.integers(0, 40),
+           st.integers(0, 2**32 - 1))
+    @example(3, 2, 1, 5, 0)
+    @example(1, 1, 1, 0, 7)
+    @example(4, 1, 200, 64, 3)
+    def test_matches_reference(self, D, L, N, hidden, seed):
+        spec = SynthNetSpec(D=D, L=L, N=N, hidden_units=hidden, seed=seed)
+        got, want = gen_synthetic(spec), reference_gen_synthetic(spec)
+        for a, b in ((got.X, want.X), (got.Y, want.Y)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got.feature_names == want.feature_names
+        assert got.label_names == want.label_names
+
+    def test_holds_one_hidden_matrix(self):
+        # The reference holds X @ V.T and its ReLU at once: 2.1 hidden matrices.
+        spec = SynthNetSpec(D=10, L=10, N=20000, hidden_units=100, seed=1)
+        hidden_bytes = spec.N * spec.hidden_units * 8
+        assert traced_peak(lambda: gen_synthetic(spec)) < 1.5 * hidden_bytes
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SynthNetSpec(D=0, L=1, N=10)
@@ -375,23 +433,37 @@ class TestCsv:
             load_csv(p, label_count=1)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 3), st.data())
-    def test_save_load_round_trip_is_bit_exact(self, n, d, n_labels, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
+    @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 3),
+           st.sampled_from(["C", "F", "sliced"]), st.data())
+    def test_save_load_round_trip_is_bit_exact(self, n, d, n_labels, layout, data):
+        # -0.0, the subnormals and the largest finite magnitudes are written
+        # as repr writes them, whatever the memory layout of X.
+        finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e-300])
         X = np.array(data.draw(st.lists(st.lists(finite, min_size=d, max_size=d),
                                         min_size=n, max_size=n)))
+        if layout == "F":
+            X = np.asfortranarray(X)
+        elif layout == "sliced":
+            X = np.hstack([X, X])[:, :d]
         Y = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n_labels,
                                                  max_size=n_labels), min_size=n, max_size=n)),
                      dtype=np.int64).reshape(n, n_labels)
         ds = Dataset(X, Y)
         with tempfile.TemporaryDirectory() as tmp:
-            path, ref = Path(tmp) / "d.csv", Path(tmp) / "ref.csv"
+            path, ref, whole = (Path(tmp) / name for name in ("d.csv", "ref.csv", "whole.csv"))
             save_csv(ds, path)
             reference_save_csv(ds, ref)
-            assert path.read_bytes() == ref.read_bytes()
+            reference_save_csv_whole_matrix(ds, whole)
+            assert path.read_bytes() == ref.read_bytes() == whole.read_bytes()
             loaded = load_csv(path, label_count=n_labels)
-        assert loaded.X.tobytes() == ds.X.tobytes()
+        assert loaded.X.tobytes() == np.ascontiguousarray(ds.X).tobytes()
         assert np.array_equal(loaded.Y, ds.Y)
+
+    def test_writes_one_row_at_a_time(self, tmp_path):
+        # The whole-matrix reference holds every cell as a Python object: 10 MB here.
+        ds = gen_synthetic(SynthNetSpec(D=10, L=10, N=20000, seed=1))
+        assert traced_peak(lambda: save_csv(ds, tmp_path / "d.csv")) < 1_000_000
 
     @pytest.mark.parametrize("text, labels_last", [
         ("a,b,c\n0.5,1.5,1\n2,abc,7\n", True),

@@ -1,13 +1,15 @@
 """Property tests over small random shapes (N rows, D features, L labels, H
 synthetic units) with few epochs: the save/load round trip of every method,
 the degenerate equivalences between methods, and what a chain does with
-known earlier bits.  The equivalences hold bit for bit whatever the memory
-layout of the features (C- or Fortran-ordered, a column slice, strided)."""
+known earlier bits.  The equivalences, and the saved model of every
+method, hold bit for bit whatever the memory layout of the features (C- or
+Fortran-ordered, a column slice, strided)."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +76,21 @@ def test_save_load_predicts_identically(name, h, hp, n, d, L, seed):
     assert np.array_equal(model.predict(probe), clone.predict(probe))
     assert np.array_equal(model.predict(probe[0]), clone.predict(probe)[0])
     assert meta["label_names"] == ds.label_names
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(h=st.integers(1, 4), hp=st.integers(0, 4), **shapes)
+def test_saved_model_does_not_depend_on_the_feature_layout(name, h, hp, n, d, L, seed):
+    cfg = MethodConfig(synthetic_count=h, indicator_count=hp, base=BASE, seed=seed)
+    saved = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        for layout in LAYOUTS:
+            ds = _dataset(n, d, L, seed, layout)
+            save_model(train_method(name, ds, cfg), path, ds.feature_names, ds.label_names)
+            saved.append(path.read_bytes())
+    assert saved == [saved[0]] * len(LAYOUTS)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,9 @@ matrix per call, and CCModel.predict fills one preallocated [x | chain bits]
 matrix, where the loops below built a fresh np.hstack copy per unit or chain
 position.  The loops are kept here verbatim as references: weights,
 thresholds and bits must be equal bit for bit, over row counts, widths,
-memory layouts of the input, single 1-D rows and every prefix length.
+memory layouts of the input, single 1-D rows and every prefix length.  The
+cascade and projection units read one C-contiguous matrix whatever the
+layout of x, so their references are given x in C order.
 
 train_br and train_cc fit every unit through one fit_layer call over one
 design matrix.  Their reference fits each unit on its own C-contiguous
@@ -159,6 +161,14 @@ def _matrix(n: int, d: int, kind: str, seed: int, layout: str) -> np.ndarray:
     return wide[:, 2 : 2 + d]
 
 
+def _c_ordered(X: np.ndarray, layout: str) -> np.ndarray:
+    """X as the references are given it: a draw not in C order (or a column
+    slice of C order) as a C-contiguous copy.  The units under test copy
+    every layout into one C-contiguous [x | bits] matrix, where the
+    references read X itself."""
+    return X if layout.startswith("C") else np.ascontiguousarray(X)
+
+
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -176,22 +186,25 @@ shapes = dict(
 @given(h=st.integers(0, 12), probe_layout=st.sampled_from(LAYOUTS), **shapes)
 def test_cascade_matches_reference(h, probe_layout, n, d, kind, layout, seed):
     X = _matrix(n, d, kind, seed, layout)
-    new, ref = init_cascade(X, h, seed), reference_init_cascade(X, h, seed)
+    ref_X = _c_ordered(X, layout)
+    new, ref = init_cascade(X, h, seed), reference_init_cascade(ref_X, h, seed)
     assert len(new.weights) == h
     for a, b in zip(new.weights, ref.weights, strict=True):
         assert _same(a, b)
     assert _same(new.thresholds, ref.thresholds)
-    assert _same(apply_cascade(new, X), reference_apply_cascade(ref, X))
+    assert _same(apply_cascade(new, X), reference_apply_cascade(ref, ref_X))
     probe = _matrix(n + 3, d, kind, seed + 1, probe_layout)
-    assert _same(apply_cascade(new, probe), reference_apply_cascade(ref, probe))
-    assert _same(apply_cascade(new, probe[1]), reference_apply_cascade(ref, probe[1]))
+    ref_probe = _c_ordered(probe, probe_layout)
+    assert _same(apply_cascade(new, probe), reference_apply_cascade(ref, ref_probe))
+    assert _same(apply_cascade(new, probe[1]), reference_apply_cascade(ref, ref_probe[1]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(h=st.integers(0, 12), **shapes)
 def test_projection_matches_reference(h, n, d, kind, layout, seed):
     X = _matrix(n, d, kind, seed, layout)
-    new, ref = init_projection(X, h, seed), reference_init_projection(X, h, seed)
+    new = init_projection(X, h, seed)
+    ref = reference_init_projection(_c_ordered(X, layout), h, seed)
     assert _same(new.weights, ref.weights)
     assert _same(new.thresholds, ref.thresholds)
 

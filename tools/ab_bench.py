@@ -12,11 +12,14 @@ it arrives.
 
 For every end-to-end metric that BENCHMARK.json (next to this tool's
 directory) declares, the summary gives each side's median and quartiles over
-the pairs, the pairs each side won (ties count for neither) and whether the
-change's median is worse than the parent's by more than the metric's bound,
-as a fraction of the parent's median.  It also gives each side's failed and
-attempted op counts.  Nothing is written to either checkout beyond what the
-benchmark itself writes.
+the pairs, the pairs each side won (ties count for neither), a claim column
+and whether the change's median is worse than the parent's by more than the
+metric's bound, as a fraction of the parent's median.  The claim column reads
+GAIN when the change won at least nine tenths of the pairs and its median is
+better than the parent's by more than the parent's interquartile range, the
+rule a claimed gain must meet; else it reads "-".  It also gives each
+side's failed and attempted op counts.  Nothing is written to either
+checkout beyond what the benchmark itself writes.
 """
 
 import argparse
@@ -43,20 +46,26 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def loss(parent: float, change: float, better: str) -> float:
+    """How much worse change is than parent, in the metric's unit (<= 0 if it
+    is not worse)."""
+    return change - parent if better == "lower" else parent - change
+
+
 def worse_by(parent: float, change: float, better: str) -> float:
     """How much worse change is than parent, as a fraction of parent (<= 0 if
     it is not worse)."""
-    loss = change - parent if better == "lower" else parent - change
+    lost = loss(parent, change, better)
     if parent == 0:
-        return float("inf") if loss > 0 else 0.0
-    return loss / abs(parent)
+        return float("inf") if lost > 0 else 0.0
+    return lost / abs(parent)
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
     """Summary lines for pairs of results ({"parent": result, "change": result})
     over the end-to-end metrics declared in BENCHMARK.json."""
     lines = [f"{'metric':<14} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34} "
-             f"{'wins p:c':>8}  verdict"]
+             f"{'wins p:c':>8}  claim  verdict"]
     for m in metrics:
         name, better, bound = m["name"], m["better"], m["bound"]
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs
@@ -68,11 +77,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
         for a, b in zip(values["parent"], values["change"]):
             if a != b:
                 wins["change" if (b < a) == (better == "lower") else "parent"] += 1
-        loss = worse_by(quartiles["parent"][1], quartiles["change"][1], better)
-        verdict = f"WORSE by {loss:.1%} > {bound:.0%}" if loss > bound else "within bound"
+        medians = quartiles["parent"][1], quartiles["change"][1]
+        parent_iqr = quartiles["parent"][2] - quartiles["parent"][0]
+        gain = wins["change"] >= 0.9 * len(pairs) and -loss(*medians, better) > parent_iqr
+        worse = worse_by(*medians, better)
+        verdict = f"WORSE by {worse:.1%} > {bound:.0%}" if worse > bound else "within bound"
         shown = {side: " / ".join(f"{v:.4g}" for v in q) for side, q in quartiles.items()}
         lines.append(f"{name:<14} {shown['parent']:>34} {shown['change']:>34} "
-                     f"{wins['parent']:>4}:{wins['change']:<3}  {verdict}")
+                     f"{wins['parent']:>4}:{wins['change']:<3}  {'GAIN' if gain else '-':<5}  "
+                     f"{verdict}")
     for side in SIDES:
         failed = sum(p[side]["failed"] for p in pairs)
         attempted = sum(p[side]["attempted"] for p in pairs)
