@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
-from itertools import chain
 from pathlib import Path
 from typing import Any, ClassVar, get_args, get_origin, get_type_hints
 
@@ -262,18 +261,12 @@ _FIELD_TYPES = {
 
 def _check_type(node: Any, path: str, types: set, name: str) -> None:
     """Raise ValueError naming the path of node, or of the first entry of its
-    nested lists, whose JSON type is not in types."""
-    # One set(map(type, ...)) pass per level of nesting checks the entries at
-    # C speed; the path of a wrong entry is searched for only when there is one.
-    level = node if type(node) is list else [node]
-    while level and (found := set(map(type, level))) <= types:
-        level = [*chain.from_iterable(v for v in level if type(v) is list)] if list in found else []
-    if not level and type(node) in types:
-        return
+    nested lists in depth-first order, whose JSON type is not in types."""
     if type(node) not in types:
         raise ValueError(f"field {path} must be {name}, got {json.dumps(node)}")
-    for i, v in enumerate(node):
-        _check_type(v, f"{path}[{i}]", types, name)
+    if type(node) is list:
+        for i, v in enumerate(node):
+            _check_type(v, f"{path}[{i}]", types, name)
 
 
 def _field(d: dict, path: str, name: str) -> Any:
@@ -294,32 +287,6 @@ def _field(d: dict, path: str, name: str) -> Any:
 _KINDS = {cls.kind: cls for cls in (BRModel, CCModel, CCASLModel, CCASLAMLModel, ELMBRModel)}
 
 
-def _encode_indicators(ind: LabelIndicatorSet) -> dict:
-    return {"n_labels": ind.n_labels, "seed": ind.seed,
-            "entries": [[list(s), c] for s, c in zip(ind.subsets, ind.codes)]}
-
-
-def _indicator_args(d: dict, path: str) -> dict:
-    entries = _field(d, path, "entries")
-    for i, e in enumerate(entries):
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)):
-            raise ValueError(f"field {path}.entries[{i}] must be a "
-                             f"pair [subset, code], got {json.dumps(e)}")
-        # _FIELD_TYPES admits integer lists at any depth; a subset item and a
-        # code are plain integers.
-        for j, item in enumerate(e[0]):
-            _check_type(item, f"{path}.entries[{i}][0][{j}]", {int}, "an integer")
-        _check_type(e[1], f"{path}.entries[{i}][1]", {int}, "an integer")
-    return {"n_labels": _field(d, path, "n_labels"), "subsets": [tuple(e[0]) for e in entries],
-            "codes": [e[1] for e in entries], "seed": _field(d, path, "seed")}
-
-
-# The model parts whose saved form is not their fields, with the functions
-# that write that form and read it back as the part's constructor arguments:
-# an indicator set saves its subsets and codes as [subset, code] pairs.
-_CODECS = {LabelIndicatorSet: (_encode_indicators, _indicator_args)}
-
-
 @cache
 def _field_types(cls: type) -> dict[str, Any]:
     """The resolved type of each dataclass field of cls, in declaration order."""
@@ -328,15 +295,12 @@ def _field_types(cls: type) -> dict[str, Any]:
 
 
 def _encode(part: Any) -> Any:
-    """The JSON form of a model part.  A part in _CODECS is written by its
-    codec; any other dataclass is its fields in declaration order, where a
-    field typed Any holds a whole model saved with its kind; an array is a
-    list."""
-    if type(part) in _CODECS:
-        return _CODECS[type(part)][0](part)
+    """The JSON form of a model part.  A dataclass is its fields in
+    declaration order, where a field typed Any holds a whole model saved with
+    its kind; an array or a tuple is a list."""
     if isinstance(part, np.ndarray):
         return part.tolist()
-    if isinstance(part, list):
+    if isinstance(part, (list, tuple)):
         return [_encode(v) for v in part]
     if not is_dataclass(part):
         return part
@@ -346,23 +310,20 @@ def _encode(part: Any) -> Any:
 
 def _build(cls: type, d: dict, path: str = "$") -> Any:
     """The instance of cls that _encode wrote as d, found at path in the
-    document: read by its codec if cls is in _CODECS, else each field read by
-    its type.  A ValueError from the constructor's own checks names path."""
-    if cls in _CODECS:
-        values = _CODECS[cls][1](d, path)
-    else:
-        values = {}
-        for name, tp in _field_types(cls).items():
-            value, at = _field(d, path, name), f"{path}.{name}"
-            if tp is Any:
-                value = model_from_dict(value, at)
-            elif get_origin(tp) is list:
-                if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-                    raise ValueError(f"field {at} must be a list of objects")
-                value = [_build(get_args(tp)[0], v, f"{at}[{i}]") for i, v in enumerate(value)]
-            elif is_dataclass(tp):
-                value = _build(tp, value, at)
-            values[name] = value
+    document, each field read by its type.  A ValueError from the
+    constructor's own checks names path."""
+    values = {}
+    for name, tp in _field_types(cls).items():
+        value, at = _field(d, path, name), f"{path}.{name}"
+        if tp is Any:
+            value = model_from_dict(value, at)
+        elif get_origin(tp) is list:
+            if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+                raise ValueError(f"field {at} must be a list of objects")
+            value = [_build(get_args(tp)[0], v, f"{at}[{i}]") for i, v in enumerate(value)]
+        elif is_dataclass(tp):
+            value = _build(tp, value, at)
+        values[name] = value
     try:
         return cls(**values)
     except ValueError as e:
@@ -429,8 +390,9 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     optional feature/label names and feature standardizer stored at save time,
     the standardizer as a StandardizationParams.
 
-    Raises ValueError for a file that is not a version-1 model document, and
-    names the JSON path of the first missing field, of a scalar field or a
+    Raises ValueError naming the file for a file that is not JSON, or nested
+    too deeply to read, or is not a version-1 model document, and names the
+    JSON path of the first missing field, of a scalar field or a
     number-list entry of the wrong type, of a "models" field that is not a
     list of objects, of a model part that fails its own checks (its arrays
     do not fit together) and of a metadata list that is not as long as the
@@ -438,16 +400,16 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     error numpy or Python raised for it.  The document is checked and built
     in one walk, so the first of these errors in walk order is the one
     raised: the metadata types, then the model, then the metadata lengths."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":
-        raise ValueError(f"{path} is not a saved model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(
-            f"{path}: unsupported model version {doc.get('version')!r} "
-            f"(this program reads version {MODEL_VERSION})"
-        )
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != "mlcascade-model":
+            raise ValueError("not a saved model file")
+        if doc.get("version") != MODEL_VERSION:
+            raise ValueError(
+                f"unsupported model version {doc.get('version')!r} "
+                f"(this program reads version {MODEL_VERSION})"
+            )
         # save_model writes null for the metadata it is not given.
         meta = {k: doc.get(k) for k in ("feature_names", "label_names", "standardizer")}
         for k, value in meta.items():
@@ -458,8 +420,12 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
         if meta["standardizer"] is not None:
             meta["standardizer"] = _build(StandardizationParams, meta["standardizer"],
                                           "$.standardizer")
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: not valid JSON: {e}") from None
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     except TypeError as e:
         raise ValueError(f"{path}: a model field has the wrong type: {e}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     return model, meta

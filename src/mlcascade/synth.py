@@ -79,19 +79,18 @@ class RandomProjection(_ThresholdUnits):
 @dataclass
 class LabelIndicatorSet:
     """Indicator nodes over the label space: node k fires when the labels at
-    positions subset[k] encode exactly code[k]."""
+    the positions of entries[k]'s subset encode exactly its code.  The fields
+    are declared in the order a model file saves them."""
 
     n_labels: int
-    subsets: list[tuple[int, ...]]
-    codes: list[int]
     seed: int = 0
+    # (subset, code) pairs; a model file gives each as a list [subset, code],
+    # and __post_init__ makes a tuple of plain integers of each.
+    entries: list = field(kw_only=True)
 
     def __post_init__(self) -> None:
-        if len(self.subsets) != len(self.codes):
-            raise ValueError("need one code per subset")
-        self.subsets = [tuple(int(i) for i in s) for s in self.subsets]
-        self.codes = [int(c) for c in self.codes]
-        for s, c in zip(self.subsets, self.codes):
+        self.entries = [_indicator_entry(k, e) for k, e in enumerate(self.entries)]
+        for s, c in self.entries:
             if not s:
                 raise ValueError("subsets must be nonempty")
             if list(s) != sorted(set(s)):
@@ -103,7 +102,21 @@ class LabelIndicatorSet:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.subsets)
+        return len(self.entries)
+
+
+def _indicator_entry(k: int, entry) -> tuple[tuple[int, ...], int]:
+    """Entry k of an indicator set as a (subset, code) pair of ints; raises
+    ValueError naming the entry if it is not a pair of a list and a code, or
+    if a subset item or the code is itself a list."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and isinstance(entry[0], (list, tuple))):
+        raise ValueError(f"entries[{k}] must be a pair [subset, code], got {entry!r}")
+    subset, code = entry
+    for at, v in [*((f"[0][{j}]", v) for j, v in enumerate(subset)), ("[1]", code)]:
+        if isinstance(v, (list, tuple)):
+            raise ValueError(f"entries[{k}]{at} must be an integer, got {v!r}")
+    return tuple(int(i) for i in subset), int(code)
 
 
 def _with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:
@@ -203,22 +216,19 @@ def sample_indicators(
         raise ValueError("n_nodes must be >= 0")
     rng = np.random.default_rng(seed)
     powers = 1 << np.arange(subset_size - 1, -1, -1)
-    subsets: list[tuple[int, ...]] = []
-    codes: list[int] = []
+    entries = []
     for _ in range(n_nodes):
         s = np.sort(rng.choice(L, size=subset_size, replace=False))
         observed = np.unique(train_Y[:, s] @ powers)
-        c = int(rng.choice(observed))
-        subsets.append(tuple(int(i) for i in s))
-        codes.append(c)
-    return LabelIndicatorSet(n_labels=L, subsets=subsets, codes=codes, seed=seed)
+        entries.append((tuple(int(i) for i in s), int(rng.choice(observed))))
+    return LabelIndicatorSet(n_labels=L, seed=seed, entries=entries)
 
 
 def apply_indicators(indicators: LabelIndicatorSet, y: np.ndarray) -> np.ndarray:
     """Evaluate every indicator node on a label vector (or a matrix of rows)."""
     y, single = as_rows(y, indicators.n_labels, np.int64)
     out = np.zeros((y.shape[0], indicators.n_nodes), dtype=np.int64)
-    for k, (s, c) in enumerate(zip(indicators.subsets, indicators.codes)):
+    for k, (s, c) in enumerate(indicators.entries):
         powers = 1 << np.arange(len(s) - 1, -1, -1)
         out[:, k] = (y[:, list(s)] @ powers) == c
     return out[0] if single else out

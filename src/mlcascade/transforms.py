@@ -37,11 +37,14 @@ class BRModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         X, single = as_rows(x, self.input_dim)
+        # A C-contiguous X makes the products, and so the bits, independent of x's layout.
+        X = np.ascontiguousarray(X)
         out = np.column_stack([m.predict_bit(X) for m in self.models])
         return out[0] if single else out
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         X, single = as_rows(x, self.input_dim)
+        X = np.ascontiguousarray(X)
         out = np.column_stack([m.predict_proba(X) for m in self.models])
         return out[0] if single else out
 

@@ -98,6 +98,29 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_margin_over_the_parent_iqr()
     assert _claim(ab_bench.summarize(pairs, METRICS), "cells_per_s") == "GAIN"
 
 
+def test_verdict_is_unresolved_where_the_parent_spreads_wider_than_the_bound():
+    # Parent op_s over four pairs: quartiles 1.1 / 1.5 / 1.9, an IQR of 53%
+    # of the median, wider than the 25% bound.
+    parent = [0.8, 1.2, 1.8, 2.2]
+    cases = [
+        # The same runs: not worse, but the spread cannot tell.
+        (parent, "unresolved"),
+        # Every change run beats every parent run: within bound after all.
+        ([0.5, 0.6, 0.7, 0.75], "within bound"),
+        # Faster in the median but not in every run: still unresolved.
+        ([0.5, 0.6, 0.7, 2.5], "unresolved"),
+        # Worse by more than the bound: WORSE takes precedence.
+        ([p * 2 for p in parent], "WORSE by 100.0% > 25%"),
+    ]
+    for change, verdict in cases:
+        pairs = [{"parent": _result(p, 100.0), "change": _result(c, 100.0)}
+                 for p, c in zip(parent, change)]
+        lines = ab_bench.summarize(pairs, METRICS)
+        assert _row(lines, "op_s.p50").endswith(verdict), (change, verdict)
+        # cells_per_s is the same in every run, so its spread is zero.
+        assert _row(lines, "cells_per_s").endswith("within bound")
+
+
 def test_worse_by_follows_the_metric_direction():
     assert ab_bench.worse_by(2.0, 3.0, "lower") == 0.5
     assert ab_bench.worse_by(2.0, 1.0, "lower") == -0.5

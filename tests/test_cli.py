@@ -207,6 +207,21 @@ class TestTrainPredict:
         assert self._predict(tmp_path, model_doc, logical_csv) == 2
         assert "unsupported model version 99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format": "mlcascade-model", "version": 1, ',
+         "not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 45 (char 44)"),
+        ("[" * 5000 + "]" * 5000, "JSON nested too deeply"),
+    ], ids=["truncated", "nested-5000"])
+    def test_model_that_is_not_json_is_data_error(self, tmp_path, logical_csv, capsys,
+                                                  text, message):
+        model_path = tmp_path / "broken.json"
+        model_path.write_text(text)
+        assert main(["predict", "--model", str(model_path), "--data", str(logical_csv),
+                     "--label-count", "3", "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"mlcascade: data error: {model_path}: {message}\n"
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m["meta"].update(models=5),
          "field $.model.meta.models must be a list of objects"),
@@ -261,17 +276,17 @@ class TestTrainPredict:
         (lambda d: d["model"]["indicators"]["entries"][1].__setitem__(1, False),
          "field $.model.indicators.entries[1][1] must be an integer, got false"),
         (lambda d: d["model"]["indicators"]["entries"][0].__setitem__(1, [1]),
-         "field $.model.indicators.entries[0][1] must be an integer, got [1]"),
+         "$.model.indicators: entries[0][1] must be an integer, got [1]"),
         (lambda d: d["model"]["indicators"]["entries"][0][0].__setitem__(0, [1]),
-         "field $.model.indicators.entries[0][0][0] must be an integer, got [1]"),
+         "$.model.indicators: entries[0][0][0] must be an integer, got [1]"),
         (lambda d: d["standardizer"]["mean"].__setitem__(0, "0.5"),
          'field $.standardizer.mean[0] must be a number, got "0.5"'),
         (lambda d: d["standardizer"].update(std=[1.0, None]),
          "field $.standardizer.std[1] must be a number, got null"),
         (lambda d: d["model"]["indicators"]["entries"].__setitem__(0, [[0, 1]]),
-         "field $.model.indicators.entries[0] must be a pair [subset, code], got [[0, 1]]"),
+         "$.model.indicators: entries[0] must be a pair [subset, code], got [[0, 1]]"),
         (lambda d: d["model"]["indicators"]["entries"].__setitem__(0, [[0, 1], 1, 9]),
-         "field $.model.indicators.entries[0] must be a pair [subset, code], got [[0, 1], 1, 9]"),
+         "$.model.indicators: entries[0] must be a pair [subset, code], got [[0, 1], 1, 9]"),
         (lambda d: d["model"]["cascade"].update(seed="abc"),
          'field $.model.cascade.seed must be an integer, got "abc"'),
         (lambda d: d["model"]["indicators"].update(seed=[1.5]),

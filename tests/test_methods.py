@@ -167,7 +167,7 @@ class TestAML:
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(30, 2)), rng.integers(0, 2, size=(30, 2)))
         model = train_ccasl_aml(ds, MethodConfig(subset_size=3, seed=1))
-        assert all(len(s) <= 2 for s in model.indicators.subsets)
+        assert all(len(s) <= 2 for s, _ in model.indicators.entries)
 
 
 class TestUniformContract:

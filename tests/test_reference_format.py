@@ -16,9 +16,16 @@ new writer must give the same JSON bytes, and the new reader must give back
 a model that the reference writes as its input.  The standardizer next to
 the model is written as the command line once wrote it by hand, as its mean
 and std lists.
+
+The model file reader once checked each field's JSON type in two passes: a
+pass per level of nesting at C speed, then, only if that found a wrong
+entry, a recursive search for its path.  That checker is kept verbatim as
+reference_check_type; the one-walk _check_type must raise the same message,
+or none, on any nested JSON value and every typed field.
 """
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -43,6 +50,22 @@ from mlcascade.methods import (
 )
 from mlcascade.synth import LabelIndicatorSet, RandomProjection, TLUCascade
 from mlcascade.transforms import BRModel, CCModel, StackedModel, train_stack
+
+
+def reference_check_type(node: Any, path: str, types: set, name: str) -> None:
+    """Raise ValueError naming the path of node, or of the first entry of its
+    nested lists, whose JSON type is not in types."""
+    # One set(map(type, ...)) pass per level of nesting checks the entries at
+    # C speed; the path of a wrong entry is searched for only when there is one.
+    level = node if type(node) is list else [node]
+    while level and (found := set(map(type, level))) <= types:
+        level = [*chain.from_iterable(v for v in level if type(v) is list)] if list in found else []
+    if not level and type(node) in types:
+        return
+    if type(node) not in types:
+        raise ValueError(f"field {path} must be {name}, got {json.dumps(node)}")
+    for i, v in enumerate(node):
+        reference_check_type(v, f"{path}[{i}]", types, name)
 
 
 # The fields next to the model in a model document; save_model writes null
@@ -101,7 +124,7 @@ def _indicators_to_dict(self) -> dict:
     return {
         "n_labels": self.n_labels,
         "seed": self.seed,
-        "entries": [[list(s), c] for s, c in zip(self.subsets, self.codes)],
+        "entries": [[list(s), c] for s, c in self.entries],
     }
 
 
@@ -113,8 +136,7 @@ def _indicators_from_dict(cls, d: dict) -> "LabelIndicatorSet":
                              f"pair [subset, code], got {json.dumps(e)}")
     return cls(
         n_labels=d["n_labels"],
-        subsets=[tuple(e[0]) for e in entries],
-        codes=[e[1] for e in entries],
+        entries=[(tuple(e[0]), e[1]) for e in entries],
         seed=d.get("seed", 0),
     )
 
@@ -295,3 +317,35 @@ def test_standardizer_saves_and_loads_as_the_reference(tmp_path):
     assert isinstance(meta["standardizer"], StandardizationParams)
     assert np.array_equal(meta["standardizer"].mean, params.mean)
     assert np.array_equal(meta["standardizer"].std, params.std)
+
+
+def _nested(leaves, depth: int):
+    """JSON values built from leaves in lists and objects nested up to depth."""
+    if depth == 0:
+        return leaves
+    inner = _nested(leaves, depth - 1)
+    return leaves | st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                   max_size=2)
+
+
+# Any JSON value, and values of numbers alone, so that a wrong entry also
+# turns up deep inside a list that the numeric fields otherwise accept.
+_json_values = (_nested(st.none() | st.booleans() | st.integers() | st.floats()
+                        | st.text(max_size=3), 5)
+                | _nested(st.integers() | st.floats(), 5))
+
+
+def _message(check, node, types, name):
+    try:
+        check(node, "$.f", types, name)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(node=_json_values, field=st.sampled_from(sorted(_FIELD_TYPES)))
+def test_one_walk_type_check_raises_as_the_reference(node, field):
+    types, name = _FIELD_TYPES[field]
+    assert (_message(_check_type, node, types, name)
+            == _message(reference_check_type, node, types, name))

@@ -214,7 +214,7 @@ class TestSampleIndicators:
     def test_all_zero_rows_force_code_zero(self):
         Y = np.zeros((8, 4), dtype=int)
         ind = sample_indicators(Y, 10, 4, seed=1)
-        assert all(c == 0 for c in ind.codes)
+        assert all(c == 0 for _, c in ind.entries)
 
     def test_codes_observed_in_training_data(self):
         Y = gen_logical(20).Y
@@ -224,39 +224,37 @@ class TestSampleIndicators:
             for s in [(0, 1), (0, 2), (1, 2)]
         }
         ind = sample_indicators(Y, 30, 2, seed=2)
-        for s, c in zip(ind.subsets, ind.codes):
+        for s, c in ind.entries:
             assert (s, c) in observed_pairs
 
     def test_determinism(self):
         Y = gen_logical(20).Y
         a = sample_indicators(Y, 6, 2, seed=5)
         b = sample_indicators(Y, 6, 2, seed=5)
-        assert a.subsets == b.subsets and a.codes == b.codes
+        assert a.entries == b.entries
 
     def test_subsets_sorted(self):
         Y = np.random.default_rng(6).integers(0, 2, size=(30, 8))
         ind = sample_indicators(Y, 20, 3, seed=7)
-        for s in ind.subsets:
+        for s, _ in ind.entries:
             assert list(s) == sorted(set(s))
 
 
 class TestApplyIndicators:
     def test_specific_pattern_fires(self):
-        ind = LabelIndicatorSet(n_labels=7, subsets=[(0, 2, 5)], codes=[5])
+        ind = LabelIndicatorSet(n_labels=7, entries=[((0, 2, 5), 5)])
         y = np.array([1, 0, 0, 0, 0, 1, 0])
         assert apply_indicators(ind, y)[0] == 1
 
     def test_pattern_mismatch(self):
-        ind = LabelIndicatorSet(n_labels=7, subsets=[(0, 2, 5)], codes=[5])
+        ind = LabelIndicatorSet(n_labels=7, entries=[((0, 2, 5), 5)])
         y = np.array([0, 0, 0, 0, 0, 1, 0])
         assert apply_indicators(ind, y)[0] == 0
 
     def test_full_subset_fires_for_exactly_one_vector(self):
         L = 4
         target = np.array([1, 0, 1, 1])
-        ind = LabelIndicatorSet(
-            n_labels=L, subsets=[tuple(range(L))], codes=[int_encode(target)]
-        )
+        ind = LabelIndicatorSet(n_labels=L, entries=[(tuple(range(L)), int_encode(target))])
         all_vectors = ((np.arange(2**L)[:, None] >> np.arange(L - 1, -1, -1)) & 1)
         fired = apply_indicators(ind, all_vectors)[:, 0]
         assert fired.sum() == 1
@@ -268,7 +266,7 @@ class TestApplyIndicators:
         ind = sample_indicators(Y, 10, 3, seed=9)
         y = rng.integers(0, 2, size=6)
         base = apply_indicators(ind, y)
-        for k, s in enumerate(ind.subsets):
+        for k, (s, _) in enumerate(ind.entries):
             outside = [j for j in range(6) if j not in s]
             for j in outside:
                 flipped = y.copy()
@@ -277,10 +275,33 @@ class TestApplyIndicators:
 
     def test_out_of_range_subset_rejected(self):
         with pytest.raises(ValueError):
-            LabelIndicatorSet(n_labels=3, subsets=[(0, 3)], codes=[0])
+            LabelIndicatorSet(n_labels=3, entries=[((0, 3), 0)])
 
     def test_json_round_trip(self):
         Y = np.random.default_rng(10).integers(0, 2, size=(15, 5))
         ind = sample_indicators(Y, 8, 2, seed=11)
         clone = _round_trip(ind)
         assert np.array_equal(apply_indicators(ind, Y), apply_indicators(clone, Y))
+        assert clone == ind
+
+    def test_list_and_tuple_entries_load_alike(self):
+        # A model file gives each entry as a list [subset, code].
+        as_lists = LabelIndicatorSet(n_labels=4, seed=2, entries=[[[0, 3], 2], [[1], 1]])
+        as_tuples = LabelIndicatorSet(n_labels=4, seed=2, entries=[((0, 3), 2), ((1,), 1)])
+        assert as_lists == as_tuples
+        assert as_lists.entries == [((0, 3), 2), ((1,), 1)]
+
+    @pytest.mark.parametrize("entries, message", [
+        ([((0, 1),)], "entries[0] must be a pair [subset, code], got ((0, 1),)"),
+        ([((0,), 1), [[0, 1], 1, 9]],
+         "entries[1] must be a pair [subset, code], got [[0, 1], 1, 9]"),
+        ([(0, 1)], "entries[0] must be a pair [subset, code], got (0, 1)"),
+        ([5], "entries[0] must be a pair [subset, code], got 5"),
+        ([((0, [1]), 1)], "entries[0][0][1] must be an integer, got [1]"),
+        ([((0, 1), [1])], "entries[0][1] must be an integer, got [1]"),
+        ([((0, 1), (1,))], "entries[0][1] must be an integer, got (1,)"),
+    ])
+    def test_malformed_entry_is_named(self, entries, message):
+        with pytest.raises(ValueError) as err:
+            LabelIndicatorSet(n_labels=3, entries=entries)
+        assert str(err.value) == message

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mlcascade.data import Dataset, gen_logical, shuffle_split
+from mlcascade.data import (Dataset, SynthNetSpec, apply_standardizer, fit_standardizer,
+                            gen_logical, gen_synthetic, shuffle_split)
 from mlcascade.evaluate import equivalence_oracle, exact_match
-from mlcascade.logistic import LinearModel, train_logistic
+from mlcascade.logistic import LinearModel, TrainConfig, train_logistic
 from mlcascade.transforms import (
     BRModel,
     CCModel,
@@ -64,6 +65,20 @@ class TestBinaryRelevance:
         tr, te = shuffle_split(random_binary_dataset, 0.6, 0)
         br = train_br(tr)
         assert equivalence_oracle(br, te.X)
+
+    def test_predictions_do_not_depend_on_the_feature_layout(self):
+        ds = gen_synthetic(SynthNetSpec(D=5, L=4, N=300, hidden_units=20, seed=3))
+        ds = apply_standardizer(fit_standardizer(ds), ds)
+        br = train_br(ds, TrainConfig(epochs=50))
+        X = ds.X
+        wide = np.hstack([X, X])
+        probes = {"C": X, "F": np.asfortranarray(X), "C-sliced": wide[:, :5],
+                  "F-sliced": np.asfortranarray(wide)[:, :5],
+                  "strided": np.repeat(X, 2, axis=1)[:, ::2]}
+        for layout, probe in probes.items():
+            assert np.array_equal(probe, X)
+            assert br.predict_proba(probe).tobytes() == br.predict_proba(X).tobytes(), layout
+            assert br.predict(probe).tobytes() == br.predict(X).tobytes(), layout
 
 
 class TestClassifierChain:

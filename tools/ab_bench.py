@@ -14,12 +14,16 @@ For every end-to-end metric that BENCHMARK.json (next to this tool's
 directory) declares, the summary gives each side's median and quartiles over
 the pairs, the pairs each side won (ties count for neither), a claim column
 and whether the change's median is worse than the parent's by more than the
-metric's bound, as a fraction of the parent's median.  The claim column reads
-GAIN when the change won at least nine tenths of the pairs and its median is
-better than the parent's by more than the parent's interquartile range, the
-rule a claimed gain must meet; else it reads "-".  It also gives each
-side's failed and attempted op counts.  Nothing is written to either
-checkout beyond what the benchmark itself writes.
+metric's bound, as a fraction of the parent's median.  A metric that is not
+worse reads "unresolved" when the parent's interquartile range is wider than
+the bound, as a fraction of its median, so its runs spread too widely to tell
+a change within the bound from none, unless every run of the change is
+better than every run of the parent; else it reads "within bound".  The
+claim column reads GAIN when the change won at least nine tenths of the
+pairs and its median is better than the parent's by more than the parent's
+interquartile range, the rule a claimed gain must meet; else it reads "-".
+It also gives each side's failed and attempted op counts.  Nothing is
+written to either checkout beyond what the benchmark itself writes.
 """
 
 import argparse
@@ -81,7 +85,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
         parent_iqr = quartiles["parent"][2] - quartiles["parent"][0]
         gain = wins["change"] >= 0.9 * len(pairs) and -loss(*medians, better) > parent_iqr
         worse = worse_by(*medians, better)
-        verdict = f"WORSE by {worse:.1%} > {bound:.0%}" if worse > bound else "within bound"
+        beats_all = all(loss(a, b, better) < 0 for a in values["parent"] for b in values["change"])
+        if worse > bound:
+            verdict = f"WORSE by {worse:.1%} > {bound:.0%}"
+        elif parent_iqr > bound * abs(medians[0]) and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         shown = {side: " / ".join(f"{v:.4g}" for v in q) for side, q in quartiles.items()}
         lines.append(f"{name:<14} {shown['parent']:>34} {shown['change']:>34} "
                      f"{wins['parent']:>4}:{wins['change']:<3}  {'GAIN' if gain else '-':<5}  "
