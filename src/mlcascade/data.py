@@ -71,7 +71,10 @@ class Dataset:
 
 @dataclass
 class StandardizationParams:
-    """Per-feature mean and standard deviation fitted on a training split."""
+    """Per-feature mean and standard deviation fitted on a training split.
+
+    Every mean must be finite and every std finite and at least STD_FLOOR,
+    the floor fit_standardizer puts under a constant column's zero std."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -80,7 +83,12 @@ class StandardizationParams:
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float)
-        self.std = np.maximum(np.asarray(self.std, dtype=float), self.STD_FLOOR)
+        self.std = np.asarray(self.std, dtype=float)
+        for j, (m, s) in enumerate(zip(self.mean.flat, self.std.flat)):
+            if not np.isfinite(m):
+                raise ValueError(f"mean[{j}] must be finite, got {m}")
+            if not self.STD_FLOOR <= s < np.inf:
+                raise ValueError(f"std[{j}] must be finite and >= {self.STD_FLOOR}, got {s}")
 
 
 @dataclass(frozen=True)
@@ -296,7 +304,8 @@ def _load_plain_csv(path: str | Path, label_count: int, labels_last: bool) -> Da
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:
     """Per-feature mean and std from a training split; fit on training data only."""
-    return StandardizationParams(train.X.mean(axis=0), train.X.std(axis=0))
+    std = np.maximum(train.X.std(axis=0), StandardizationParams.STD_FLOOR)
+    return StandardizationParams(train.X.mean(axis=0), std)
 
 
 def apply_standardizer(params: StandardizationParams, dataset: Dataset) -> Dataset:

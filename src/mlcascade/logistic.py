@@ -98,8 +98,26 @@ def as_rows(x, dim: int, dtype=float) -> tuple[np.ndarray, bool]:
     return X, single
 
 
+def with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:
+    """[X | H bit columns] in one C-contiguous matrix, whatever X's layout.
+
+    A GEMV sums in another order on C- and Fortran-ordered matrices, but in
+    the same order on a column prefix of this matrix as on a C-contiguous
+    copy of that prefix; so units that read their prefix of it give the same
+    bits for every layout of X.  Every unit loop that feeds each unit's bit
+    to the next (chain prediction, the cascade, the unit draw) writes its
+    bits into this matrix."""
+    n, D = X.shape
+    out = np.empty((n, D + H))
+    out[:, :D] = X
+    return out
+
+
 def _check_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
+    """X as a C-contiguous float matrix (copied only if it is not one) and y
+    as a flat float vector, checked.  The products of a fit then sum in the
+    same order for every memory layout of X."""
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix of feature rows")
@@ -172,13 +190,11 @@ def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = No
     # with a Python scalar.
     ones, lo, hi = np.ones(n), np.full(n, -ACTIVATION_CLAMP), np.full(n, ACTIVATION_CLAMP)
     n_d, l2_d, lr_d = np.full(d, float(n)), np.full(d, l2), np.full(d, lr)
-    # np.dot skips matmul's dispatch (~1.2 us a call) and makes the same BLAS
-    # call when X is aligned and contiguous; otherwise it can sum in another
-    # order than matmul.
-    contiguous = X.flags.c_contiguous or X.flags.f_contiguous
-    dot = np.dot if X.flags.aligned and contiguous else np.matmul
-    # Local names save a module attribute lookup per call.
-    subtract, add, multiply, divide, exp = np.subtract, np.add, np.multiply, np.divide, np.exp
+    # Local names save a module attribute lookup per call.  np.dot skips
+    # matmul's dispatch (~1.2 us a call) and makes the same BLAS call on the
+    # C-contiguous X that _check_xy returns.
+    dot, subtract, add, multiply, divide, exp = (np.dot, np.subtract, np.add, np.multiply,
+                                                 np.divide, np.exp)
     total = np.add.reduce
     XT = X.T
     with np.errstate(all="ignore"):

@@ -85,6 +85,12 @@ class CCASLModel:
 
     kind: ClassVar[str] = "ccasl"
 
+    def __post_init__(self) -> None:
+        labels = self.chain.n_labels - self.cascade.H
+        if self.n_labels != labels:
+            raise ValueError(f"n_labels is {self.n_labels}, but the chain predicts {labels} "
+                             f"labels after {self.cascade.H} synthetic bits")
+
     @property
     def n_synthetic(self) -> int:
         return self.cascade.H

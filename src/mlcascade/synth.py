@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .logistic import as_rows
+from .logistic import as_rows, with_bit_columns
 
 WEIGHT_STD = 0.2          # scale of the random unit weights
 KEEP_PROB = 0.9           # each weight survives masking with this probability
@@ -50,6 +50,8 @@ class _ThresholdUnits:
             if w.shape != (self.row_width(self.D, k),):
                 raise ValueError(
                     f"unit {k} weight row must have length {self.row_width(self.D, k)}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"unit {k} weight row must be finite")
         if not np.all(np.isfinite(self.thresholds)):
             raise ValueError("thresholds must be finite")
         self.weights = rows
@@ -119,19 +121,6 @@ def _indicator_entry(k: int, entry) -> tuple[tuple[int, ...], int]:
     return tuple(int(i) for i in subset), int(code)
 
 
-def _with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:
-    """[X | H bit columns] in one C-contiguous matrix, whatever X's layout.
-
-    A GEMV sums in another order on C- and Fortran-ordered matrices, but in
-    the same order on a column prefix of this matrix as on a C-contiguous
-    copy of that prefix; so units that read their prefix of it give the same
-    bits for every layout of X."""
-    n, D = X.shape
-    out = np.empty((n, D + H))
-    out[:, :D] = X
-    return out
-
-
 def _draw_units(cls: type, train_X: np.ndarray, H: int, seed: int):
     """Draw H random threshold units of class cls against a training matrix.
 
@@ -151,7 +140,7 @@ def _draw_units(cls: type, train_X: np.ndarray, H: int, seed: int):
         raise ValueError("H must be >= 0")
     D = train_X.shape[1]
     rng = np.random.default_rng(seed)
-    inputs = _with_bit_columns(train_X, H)
+    inputs = with_bit_columns(train_X, H)
     weights: list[np.ndarray] = []
     thresholds = np.zeros(H)
     for k in range(H):
@@ -177,7 +166,7 @@ def apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
     """Evaluate the cascade: unit k reads [x, z_1..z_{k-1}] and fires on a > t."""
     X, single = as_rows(x, cascade.D)
     D = cascade.D
-    inputs = _with_bit_columns(X, cascade.H)
+    inputs = with_bit_columns(X, cascade.H)
     for k, (row, t) in enumerate(zip(cascade.weights, cascade.thresholds)):
         inputs[:, D + k] = inputs[:, : D + k] @ row > t
     Z = inputs[:, D:].astype(np.int64)

@@ -14,7 +14,7 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from .data import Dataset
-from .logistic import LinearModel, TrainConfig, as_rows, train_logistic
+from .logistic import LinearModel, TrainConfig, as_rows, train_logistic, with_bit_columns
 
 
 @dataclass
@@ -36,16 +36,17 @@ class BRModel:
         return len(self.models)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        X, single = as_rows(x, self.input_dim)
-        # A C-contiguous X makes the products, and so the bits, independent of x's layout.
-        X = np.ascontiguousarray(X)
-        out = np.column_stack([m.predict_bit(X) for m in self.models])
-        return out[0] if single else out
+        return self._per_label(x, LinearModel.predict_bit)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        return self._per_label(x, LinearModel.predict_proba)
+
+    def _per_label(self, x: np.ndarray, output: Callable) -> np.ndarray:
+        """output(model, rows) of each label's model on x's rows, one column per label."""
         X, single = as_rows(x, self.input_dim)
+        # A C-contiguous X makes the products, and so the outputs, independent of x's layout.
         X = np.ascontiguousarray(X)
-        out = np.column_stack([m.predict_proba(X) for m in self.models])
+        out = np.column_stack([output(m, X) for m in self.models])
         return out[0] if single else out
 
 
@@ -89,8 +90,7 @@ class CCModel:
         X, single = as_rows(x, self.input_dim)
         n, D = X.shape
         # [x | chain bits]: position j reads the first D + j columns.
-        inputs = np.empty((n, D + self.n_labels))
-        inputs[:, :D] = X
+        inputs = with_bit_columns(X, self.n_labels)
         n_known = 0
         if prefix is not None:
             prefix, _ = as_rows(prefix, np.shape(prefix)[-1])
@@ -100,8 +100,8 @@ class CCModel:
             inputs[:, D : D + n_known] = prefix
         for j in range(n_known, self.n_labels):
             inputs[:, D + j] = self.models[j].predict_bit(inputs[:, : D + j])
-        out = np.zeros((n, self.n_labels), dtype=np.int64)
-        out[:, self.label_order] = inputs[:, D:]
+        # Label column k is the bit of the chain position that predicts it.
+        out = inputs[:, D + np.argsort(self.label_order)].astype(np.int64)
         return out[0] if single else out
 
 
@@ -132,17 +132,16 @@ def fit_layer(design: np.ndarray, targets: np.ndarray, widths: list[int], names:
     """Fit a layer of logistic units: unit j is train_logistic on the first
     widths[j] columns of design against targets[:, j].
 
-    Every unit of every method is fit here.  A unit reads its columns as a
-    C-contiguous matrix, copied unless design is C-contiguous and the unit
-    reads all of it, so its weights do not depend on the memory layout of
-    the design it was given.  A ValueError from unit j's fit is re-raised
+    Every unit of every method is fit here.  The fit copies a unit's
+    columns into a C-contiguous matrix unless design is C-contiguous and the
+    unit reads all of it, so its weights do not depend on the memory layout
+    of the design it was given.  A ValueError from unit j's fit is re-raised
     prefixed with names[j].
     """
     models = []
     for j, (width, name) in enumerate(zip(widths, names, strict=True)):
         try:
-            models.append(train_logistic(np.ascontiguousarray(design[:, :width]),
-                                         targets[:, j], config))
+            models.append(train_logistic(design[:, :width], targets[:, j], config))
         except ValueError as e:
             raise ValueError(f"{name}: {e}") from None
     return models

@@ -121,6 +121,24 @@ def test_verdict_is_unresolved_where_the_parent_spreads_wider_than_the_bound():
         assert _row(lines, "cells_per_s").endswith("within bound")
 
 
+def test_a_larger_failed_share_is_worse_and_voids_a_gain():
+    parent = [1.0 + 0.1 * k for k in range(10)]
+    # Faster by 0.5 in every pair, which alone would claim a gain (see above).
+    for failed, claim, verdict in [(0, "GAIN", "not worse"), (1, "-", "WORSE")]:
+        pairs = [{"parent": _result(p, 100.0), "change": _result(p - 0.5, 100.0, failed=failed)}
+                 for p in parent]
+        lines = ab_bench.summarize(pairs, METRICS)
+        assert _claim(lines, "op_s.p50") == claim
+        assert lines[-1].startswith("failed ops: parent 0.00%, change ")
+        assert lines[-1].endswith(verdict)
+    # The same failed share on both sides is not worse.
+    pairs = [{"parent": _result(p, 100.0, failed=2), "change": _result(p - 0.5, 100.0, failed=2)}
+             for p in parent]
+    lines = ab_bench.summarize(pairs, METRICS)
+    assert _claim(lines, "op_s.p50") == "GAIN"
+    assert lines[-1] == "failed ops: parent 20.00%, change 20.00%  not worse"
+
+
 def test_worse_by_follows_the_metric_direction():
     assert ab_bench.worse_by(2.0, 3.0, "lower") == 0.5
     assert ab_bench.worse_by(2.0, 1.0, "lower") == -0.5

@@ -298,6 +298,8 @@ class TestTrainPredict:
          "$.model.middle: label_order must be a permutation of the chain positions"),
         (lambda d: d["model"]["indicators"]["entries"][0].__setitem__(1, 99),
          "$.model.indicators: code 99 out of range for subset of size 3"),
+        (lambda d: d["model"]["cascade"]["weights"][1].__setitem__(2, float("nan")),
+         "$.model.cascade: unit 1 weight row must be finite"),
     ])
     def test_wrong_type_number_list_entry_is_data_error(self, tmp_path, logical_csv,
                                                         capsys, edit, message):
@@ -331,11 +333,43 @@ class TestTrainPredict:
          "field $.standardizer must be an object, got [0.0, 1.0]"),
         (lambda d: d["model"]["models"][1].update(weights=[0.1]),
          "$.model: all per-label models must share input_dim"),
+        # Python's json reads and writes NaN and Infinity.
+        (lambda d: d["standardizer"]["std"].__setitem__(0, -0.5),
+         "$.standardizer: std[0] must be finite and >= 1e-09, got -0.5"),
+        (lambda d: d["standardizer"]["std"].__setitem__(1, 0),
+         "$.standardizer: std[1] must be finite and >= 1e-09, got 0.0"),
+        (lambda d: d["standardizer"]["std"].__setitem__(0, float("inf")),
+         "$.standardizer: std[0] must be finite and >= 1e-09, got inf"),
+        (lambda d: d["standardizer"]["mean"].__setitem__(1, float("nan")),
+         "$.standardizer: mean[1] must be finite, got nan"),
     ])
     def test_malformed_metadata_is_data_error(self, tmp_path, logical_csv, br_doc, capsys,
                                               edit, message):
         edit(br_doc)
         assert self._predict(tmp_path, br_doc, logical_csv) == 2
+        assert f"edited.json: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("method, edit, message", [
+        ("elm", lambda m: m["projection"]["weights"][0].__setitem__(0, float("nan")),
+         "$.model.projection: unit 0 weight row must be finite"),
+        ("elm", lambda m: m["projection"]["weights"][2].__setitem__(1, float("inf")),
+         "$.model.projection: unit 2 weight row must be finite"),
+        ("ccasl", lambda m: m.update(n_labels=4),
+         "$.model: n_labels is 4, but the chain predicts 3 labels after 3 synthetic bits"),
+        ("ccasl", lambda m: m.update(n_labels=2),
+         "$.model: n_labels is 2, but the chain predicts 3 labels after 3 synthetic bits"),
+    ])
+    def test_inconsistent_model_part_is_data_error(self, tmp_path, logical_csv, capsys,
+                                                   method, edit, message):
+        path = tmp_path / "model.json"
+        main(["train", "--dataset", str(logical_csv), "--label-count", "3",
+              "--method", method, "--out", str(path)])
+        doc = json.loads(path.read_text())
+        edit(doc["model"])
+        # The label names follow the stored count, so only the model check catches it.
+        doc["label_names"] = [f"y{j + 1}" for j in range(doc["model"].get("n_labels", 3))]
+        assert self._predict(tmp_path, doc, logical_csv) == 2
         assert f"edited.json: {message}" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 

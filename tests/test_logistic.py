@@ -233,13 +233,36 @@ class TestBitExactness:
     @given(fit_problems())
     def test_random_problems(self, problem):
         X, y, config = problem
-        assert_same_bits(train_logistic(X, y, config).weights, reference_fit(X, y, config))
+        # The fit reads a C-contiguous copy of X, whatever X's layout.
+        assert_same_bits(train_logistic(X, y, config).weights,
+                         reference_fit(np.ascontiguousarray(X), y, config))
 
     def test_large_problem(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(1000, 32))
         y = (X[:, 0] + rng.normal(size=1000) > 0).astype(float)
         assert_same_bits(train_logistic(X, y).weights, reference_fit(X, y, TrainConfig()))
+
+
+def unaligned(X):
+    """A C-contiguous copy of X whose data starts one byte off alignment."""
+    buf = np.zeros(X.nbytes + 1, dtype=np.uint8)
+    out = np.ndarray(X.shape, dtype=float, buffer=buf, offset=1)
+    out[...] = X
+    return out
+
+
+class TestLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(fit_problems())
+    def test_weights_do_not_depend_on_the_layout_of_x(self, problem):
+        X, y, config = problem
+        C = np.ascontiguousarray(X)
+        want = train_logistic(C, y, config).weights
+        wide = np.hstack([C, C])
+        for other in (np.asfortranarray(C), wide[:, :C.shape[1]],
+                      np.repeat(C, 2, axis=1)[:, ::2], unaligned(C)):
+            assert_same_bits(train_logistic(other, y, config).weights, want)
 
 
 class TestPredict:

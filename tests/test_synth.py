@@ -184,6 +184,18 @@ class TestProjection:
         assert apply_projection(clone, train_X).shape == (50, 0)
 
 
+class TestThresholdUnitChecks:
+    @pytest.mark.parametrize("cls, rows", [
+        (TLUCascade, [[0.1, 0.2], [0.3, np.nan, 0.5]]),
+        (TLUCascade, [[np.inf, 0.2], [0.3, 0.4, 0.5]]),
+        (RandomProjection, [[0.1, 0.2], [-np.inf, 0.4]]),
+    ])
+    def test_non_finite_weight_row_is_named(self, cls, rows):
+        unit = next(k for k, row in enumerate(rows) if not np.all(np.isfinite(row)))
+        with pytest.raises(ValueError, match=f"^unit {unit} weight row must be finite$"):
+            cls(D=2, H=2, weights=rows, thresholds=[0.0, 0.0])
+
+
 class TestIntEncode:
     def test_two_bits(self):
         assert int_encode([0, 1]) == 1

@@ -21,9 +21,12 @@ a change within the bound from none, unless every run of the change is
 better than every run of the parent; else it reads "within bound".  The
 claim column reads GAIN when the change won at least nine tenths of the
 pairs and its median is better than the parent's by more than the parent's
-interquartile range, the rule a claimed gain must meet; else it reads "-".
-It also gives each side's failed and attempted op counts.  Nothing is
-written to either checkout beyond what the benchmark itself writes.
+interquartile range, and the change failed no larger a share of its ops
+than the parent, the rule a claimed gain must meet; else it reads "-".
+It also gives each side's failed and attempted op counts, and a failed-ops
+line that reads WORSE when the change failed a larger share of its ops than
+the parent.  Nothing is written to either checkout beyond what the benchmark
+itself writes.
 """
 
 import argparse
@@ -68,6 +71,10 @@ def worse_by(parent: float, change: float, better: str) -> float:
 def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
     """Summary lines for pairs of results ({"parent": result, "change": result})
     over the end-to-end metrics declared in BENCHMARK.json."""
+    ops = {side: [sum(p[side][k] for p in pairs) for k in ("failed", "attempted")]
+           for side in SIDES}
+    share = {side: failed / max(attempted, 1) for side, (failed, attempted) in ops.items()}
+    more_failed = share["change"] > share["parent"]
     lines = [f"{'metric':<14} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34} "
              f"{'wins p:c':>8}  claim  verdict"]
     for m in metrics:
@@ -83,7 +90,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
                 wins["change" if (b < a) == (better == "lower") else "parent"] += 1
         medians = quartiles["parent"][1], quartiles["change"][1]
         parent_iqr = quartiles["parent"][2] - quartiles["parent"][0]
-        gain = wins["change"] >= 0.9 * len(pairs) and -loss(*medians, better) > parent_iqr
+        gain = (wins["change"] >= 0.9 * len(pairs) and -loss(*medians, better) > parent_iqr
+                and not more_failed)
         worse = worse_by(*medians, better)
         beats_all = all(loss(a, b, better) < 0 for a in values["parent"] for b in values["change"])
         if worse > bound:
@@ -97,11 +105,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
                      f"{wins['parent']:>4}:{wins['change']:<3}  {'GAIN' if gain else '-':<5}  "
                      f"{verdict}")
     for side in SIDES:
-        failed = sum(p[side]["failed"] for p in pairs)
-        attempted = sum(p[side]["attempted"] for p in pairs)
         correct = sum(bool(p[side]["correct"]) for p in pairs)
-        lines.append(f"{side}: {failed}/{attempted} ops failed, "
+        lines.append(f"{side}: {ops[side][0]}/{ops[side][1]} ops failed, "
                      f"{correct}/{len(pairs)} runs correct")
+    lines.append(f"failed ops: parent {share['parent']:.2%}, change {share['change']:.2%}  "
+                 f"{'WORSE' if more_failed else 'not worse'}")
     return lines
 
 
