@@ -72,7 +72,7 @@ def equivalence_oracle(br_model: BRModel, test_X: np.ndarray) -> bool:
     L = br_model.n_labels
     if L > MAX_ENUMERATION_LABELS:
         raise ValueError(f"enumeration over 2^{L} vectors refused (limit 2^{MAX_ENUMERATION_LABELS})")
-    test_X, _ = as_rows(test_X, br_model.input_dim)
+    test_X = as_rows(test_X, br_model.input_dim)
     probs = br_model.predict_proba(test_X)
     marginal = br_model.predict(test_X)
     codes = (np.arange(2**L)[:, None] >> np.arange(L - 1, -1, -1)) & 1

@@ -56,22 +56,17 @@ class LinearModel:
     def input_dim(self) -> int:
         return self.weights.shape[0] - 1
 
-    def activation(self, x: np.ndarray) -> np.ndarray | float:
-        """Bias plus dot product; accepts one vector or a matrix of rows."""
-        X, single = as_rows(x, self.input_dim)
-        a = self.weights[0] + X @ self.weights[1:]
-        return a[0] if single else a
+    def activation(self, x: np.ndarray) -> np.ndarray:
+        """Bias plus dot product of each row of the matrix x."""
+        return self.weights[0] + as_rows(x, self.input_dim) @ self.weights[1:]
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray | float:
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return sigmoid(self.activation(x))
 
-    def predict_bit(self, x: np.ndarray) -> np.ndarray | int:
+    def predict_bit(self, x: np.ndarray) -> np.ndarray:
         # Decided on the raw activation so the tie at probability 0.5
         # (activation exactly 0) predicts 1.
-        a = self.activation(x)
-        if np.ndim(a) == 0:
-            return int(a >= 0.0)
-        return (a >= 0.0).astype(np.int64)
+        return (self.activation(x) >= 0.0).astype(np.int64)
 
 
 def sigmoid(a):
@@ -84,18 +79,15 @@ def _clamp(a, lo=-ACTIVATION_CLAMP, hi=ACTIVATION_CLAMP, out=None):
     return np.minimum(np.maximum(a, lo, out=out), hi, out=out)
 
 
-def as_rows(x, dim: int, dtype=float) -> tuple[np.ndarray, bool]:
-    """x as a 2-D matrix of rows of width dim, and whether x was one 1-D row.
+def as_rows(x, dim: int, dtype=float) -> np.ndarray:
+    """x as a 2-D matrix of rows of width dim, checked.
 
-    Every predict and apply function takes one row or a matrix of rows through
-    this and returns out[0] for a single row."""
+    Every predict and apply function takes its input through this.  A 1-D
+    array is rejected, not read as one row: one row is passed as x[None, :]."""
     X = np.asarray(x, dtype=dtype)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"expected rows of width {dim}, got shape {np.shape(x)}")
-    return X, single
+        raise ValueError(f"expected a 2-D matrix of rows of width {dim}, got shape {X.shape}")
+    return X
 
 
 def with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:

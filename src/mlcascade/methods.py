@@ -33,8 +33,8 @@ from .synth import (
     init_projection,
     sample_indicators,
 )
-from .transforms import (BRModel, CCModel, StackedModel, train_br, train_br_over, train_cc,
-                         train_stack)
+from .transforms import (BRModel, CCModel, StackedModel, check_sizes, train_br, train_br_over,
+                         train_cc, train_stack)
 
 METHOD_NAMES = ("br", "cc", "ccasl", "ccasl+br", "ccasl+aml", "elm")
 
@@ -90,6 +90,7 @@ class CCASLModel:
         if self.n_labels != labels:
             raise ValueError(f"n_labels is {self.n_labels}, but the chain predicts {labels} "
                              f"labels after {self.cascade.H} synthetic bits")
+        check_sizes(("cascade.D", self.cascade.D, "chain.input_dim", self.chain.input_dim))
 
     @property
     def n_synthetic(self) -> int:
@@ -101,7 +102,7 @@ class CCASLModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         bits = _chain_bits(self.cascade, self.chain, self.cascade_at_test, x)
-        return bits[..., self.n_synthetic :]
+        return bits[:, self.n_synthetic :]
 
 
 @dataclass
@@ -116,6 +117,17 @@ class CCASLAMLModel:
     cascade_at_test: bool = False
 
     kind: ClassVar[str] = "ccasl+aml"
+
+    def __post_init__(self) -> None:
+        middle = self.middle
+        check_sizes(
+            ("cascade.D", self.cascade.D, "middle.input_dim", middle.input_dim),
+            ("middle.n_labels", middle.n_labels, "cascade.H + indicators.n_nodes",
+             self.cascade.H + self.indicators.n_nodes),
+            ("indicators.n_labels", self.indicators.n_labels, "output.n_labels",
+             self.output.n_labels),
+            ("output.input_dim", self.output.input_dim, "middle.input_dim + middle.n_labels",
+             middle.input_dim + middle.n_labels))
 
     @property
     def n_labels(self) -> int:
@@ -140,6 +152,10 @@ class ELMBRModel:
     br: BRModel
 
     kind: ClassVar[str] = "elm"
+
+    def __post_init__(self) -> None:
+        check_sizes(("br.input_dim", self.br.input_dim, "projection.D + projection.H",
+                     self.projection.D + self.projection.H))
 
     @property
     def n_labels(self) -> int:

@@ -164,13 +164,11 @@ def init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
 
 def apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
     """Evaluate the cascade: unit k reads [x, z_1..z_{k-1}] and fires on a > t."""
-    X, single = as_rows(x, cascade.D)
     D = cascade.D
-    inputs = with_bit_columns(X, cascade.H)
+    inputs = with_bit_columns(as_rows(x, D), cascade.H)
     for k, (row, t) in enumerate(zip(cascade.weights, cascade.thresholds)):
         inputs[:, D + k] = inputs[:, : D + k] @ row > t
-    Z = inputs[:, D:].astype(np.int64)
-    return Z[0] if single else Z
+    return inputs[:, D:].astype(np.int64)
 
 
 def init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
@@ -179,10 +177,9 @@ def init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
 
 
 def apply_projection(proj: RandomProjection, x: np.ndarray) -> np.ndarray:
-    X, single = as_rows(x, proj.D)
     # A C-contiguous X makes the product, and so the bits, independent of x's layout.
-    Z = (np.ascontiguousarray(X) @ proj.weights.T > proj.thresholds).astype(np.int64)
-    return Z[0] if single else Z
+    X = np.ascontiguousarray(as_rows(x, proj.D))
+    return (X @ proj.weights.T > proj.thresholds).astype(np.int64)
 
 
 def sample_indicators(
@@ -214,10 +211,10 @@ def sample_indicators(
 
 
 def apply_indicators(indicators: LabelIndicatorSet, y: np.ndarray) -> np.ndarray:
-    """Evaluate every indicator node on a label vector (or a matrix of rows)."""
-    y, single = as_rows(y, indicators.n_labels, np.int64)
+    """Evaluate every indicator node on each row of a label matrix."""
+    y = as_rows(y, indicators.n_labels, np.int64)
     out = np.zeros((y.shape[0], indicators.n_nodes), dtype=np.int64)
     for k, (s, c) in enumerate(indicators.entries):
         powers = 1 << np.arange(len(s) - 1, -1, -1)
         out[:, k] = (y[:, list(s)] @ powers) == c
-    return out[0] if single else out
+    return out

@@ -43,11 +43,9 @@ class BRModel:
 
     def _per_label(self, x: np.ndarray, output: Callable) -> np.ndarray:
         """output(model, rows) of each label's model on x's rows, one column per label."""
-        X, single = as_rows(x, self.input_dim)
         # A C-contiguous X makes the products, and so the outputs, independent of x's layout.
-        X = np.ascontiguousarray(X)
-        out = np.column_stack([output(m, X) for m in self.models])
-        return out[0] if single else out
+        X = np.ascontiguousarray(as_rows(x, self.input_dim))
+        return np.column_stack([output(m, X) for m in self.models])
 
 
 @dataclass
@@ -87,13 +85,13 @@ class CCModel:
         first prefix.shape[1] chain positions (they are taken as known bits
         instead of being predicted).
         """
-        X, single = as_rows(x, self.input_dim)
+        X = as_rows(x, self.input_dim)
         n, D = X.shape
         # [x | chain bits]: position j reads the first D + j columns.
         inputs = with_bit_columns(X, self.n_labels)
         n_known = 0
         if prefix is not None:
-            prefix, _ = as_rows(prefix, np.shape(prefix)[-1])
+            prefix = as_rows(prefix, np.shape(prefix)[-1])
             n_known = prefix.shape[1]
             if n_known > self.n_labels or prefix.shape[0] != n:
                 raise ValueError("prefix shape does not match the chain")
@@ -101,8 +99,7 @@ class CCModel:
         for j in range(n_known, self.n_labels):
             inputs[:, D + j] = self.models[j].predict_bit(inputs[:, : D + j])
         # Label column k is the bit of the chain position that predicts it.
-        out = inputs[:, D + np.argsort(self.label_order)].astype(np.int64)
-        return out[0] if single else out
+        return inputs[:, D + np.argsort(self.label_order)].astype(np.int64)
 
 
 @dataclass
@@ -115,6 +112,12 @@ class StackedModel:
     meta: BRModel
     input_dim: int
 
+    def __post_init__(self) -> None:
+        check_sizes(("first_layer.input_dim", self.first_layer.input_dim, "input_dim",
+                     self.input_dim),
+                    ("meta.input_dim", self.meta.input_dim, "input_dim + first_layer.n_labels",
+                     self.input_dim + self.first_layer.n_labels))
+
     @property
     def kind(self) -> str:
         return self.first_layer.kind + "+br"
@@ -125,6 +128,14 @@ class StackedModel:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.meta.predict(np.hstack([x, self.first_layer.predict(x).astype(float)]))
+
+
+def check_sizes(*pairs: tuple[str, int, str, int]) -> None:
+    """Raise ValueError naming the first pair of sizes of a model's parts that
+    differ; each pair is (name, size, name, size)."""
+    for name, size, other, other_size in pairs:
+        if size != other_size:
+            raise ValueError(f"{name} is {size}, but {other} is {other_size}")
 
 
 def fit_layer(design: np.ndarray, targets: np.ndarray, widths: list[int], names: list[str],

@@ -86,6 +86,13 @@ class TestBench:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    def test_name_flag_names_the_report_files(self, tmp_path):
+        code = main(["bench", "--dataset", "logical", "--methods", "br", "--iters", "1",
+                     "--name", "myname", "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "myname-exactmatch.csv", "myname-hamming.csv", "myname-report.txt"]
+
     def test_same_seed_is_byte_identical(self, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
         for d in dirs:
@@ -147,6 +154,14 @@ class TestTrainPredict:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert "features" in capsys.readouterr().err
+
+    def test_csv_without_label_columns_is_data_error(self, tmp_path, logical_csv, capsys):
+        code = main(["train", "--dataset", str(logical_csv), "--label-count", "0",
+                     "--method", "br", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "mlcascade: data error: training data has no label columns\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_model_is_data_error(self, tmp_path, logical_csv):
         code = main(["predict", "--model", str(tmp_path / "no.json"),
@@ -212,7 +227,8 @@ class TestTrainPredict:
          "not valid JSON: Expecting property name enclosed in double quotes: "
          "line 1 column 45 (char 44)"),
         ("[" * 5000 + "]" * 5000, "JSON nested too deeply"),
-    ], ids=["truncated", "nested-5000"])
+        ('{"format": "mlcascade-data", "version": 1}', "not a saved model file"),
+    ], ids=["truncated", "nested-5000", "other-format"])
     def test_model_that_is_not_json_is_data_error(self, tmp_path, logical_csv, capsys,
                                                   text, message):
         model_path = tmp_path / "broken.json"
@@ -231,6 +247,7 @@ class TestTrainPredict:
         (lambda m: m.update(first_layer=[]), "field $.model.first_layer must be an object, got []"),
         (lambda m: m["first_layer"].update(cascade=[1]),
          "field $.model.first_layer.cascade must be an object, got [1]"),
+        (lambda m: m.update(kind="svm"), "cannot load model kind 'svm'"),
     ])
     def test_wrong_type_model_field_is_data_error(self, tmp_path, logical_csv,
                                                   model_doc, capsys, edit, message):
@@ -300,6 +317,10 @@ class TestTrainPredict:
          "$.model.indicators: code 99 out of range for subset of size 3"),
         (lambda d: d["model"]["cascade"]["weights"][1].__setitem__(2, float("nan")),
          "$.model.cascade: unit 1 weight row must be finite"),
+        (lambda d: d["model"]["indicators"]["entries"][0].__setitem__(0, []),
+         "$.model.indicators: subsets must be nonempty"),
+        (lambda d: d["model"]["indicators"]["entries"][0][0].reverse(),
+         "$.model.indicators: subset indices must be strictly increasing"),
     ])
     def test_wrong_type_number_list_entry_is_data_error(self, tmp_path, logical_csv,
                                                         capsys, edit, message):
@@ -333,6 +354,8 @@ class TestTrainPredict:
          "field $.standardizer must be an object, got [0.0, 1.0]"),
         (lambda d: d["model"]["models"][1].update(weights=[0.1]),
          "$.model: all per-label models must share input_dim"),
+        (lambda d: d["model"]["models"][0].update(weights=[[0.1, 0.2, 0.3]]),
+         "$.model.models[0]: weights must be a 1-D vector"),
         # Python's json reads and writes NaN and Infinity.
         (lambda d: d["standardizer"]["std"].__setitem__(0, -0.5),
          "$.standardizer: std[0] must be finite and >= 1e-09, got -0.5"),
@@ -359,6 +382,30 @@ class TestTrainPredict:
          "$.model: n_labels is 4, but the chain predicts 3 labels after 3 synthetic bits"),
         ("ccasl", lambda m: m.update(n_labels=2),
          "$.model: n_labels is 2, but the chain predicts 3 labels after 3 synthetic bits"),
+        ("elm", lambda m: m["projection"]["thresholds"].pop(),
+         "$.model.projection: need one weight row and one threshold per unit"),
+        # Python's json reads and writes NaN.
+        ("elm", lambda m: m["projection"]["thresholds"].__setitem__(1, float("nan")),
+         "$.model.projection: thresholds must be finite"),
+        ("cc", lambda m: m["models"][1].update(weights=m["models"][1]["weights"][:-1]),
+         "$.model: chain position 1 expects 3 features, model has 2"),
+        # Parts that each pass their own checks but do not fit together.
+        ("ccasl", lambda m: m["cascade"].update(D=1, weights=[w[1:] for w in
+                                                             m["cascade"]["weights"]]),
+         "$.model: cascade.D is 1, but chain.input_dim is 2"),
+        ("ccasl+aml", lambda m: m["indicators"]["entries"].pop(),
+         "$.model: middle.n_labels is 9, but cascade.H + indicators.n_nodes is 8"),
+        ("elm", lambda m: m["projection"].update(H=5, weights=m["projection"]["weights"][:-1],
+                                                 thresholds=m["projection"]["thresholds"][:-1]),
+         "$.model: br.input_dim is 8, but projection.D + projection.H is 7"),
+        ("ccasl+aml", lambda m: m["output"].update(
+            input_dim=10, models=[{"weights": o["weights"][:-1]} for o in m["output"]["models"]]),
+         "$.model: output.input_dim is 10, but middle.input_dim + middle.n_labels is 11"),
+        ("ccasl+br", lambda m: m.update(input_dim=3),
+         "$.model: first_layer.input_dim is 2, but input_dim is 3"),
+        ("ccasl+br", lambda m: m["meta"].update(
+            input_dim=4, models=[{"weights": o["weights"][:-1]} for o in m["meta"]["models"]]),
+         "$.model: meta.input_dim is 4, but input_dim + first_layer.n_labels is 5"),
     ])
     def test_inconsistent_model_part_is_data_error(self, tmp_path, logical_csv, capsys,
                                                    method, edit, message):
@@ -441,30 +488,48 @@ class TestUsage:
                      "--out", str(tmp_path)])
         assert code == 1
 
-    @pytest.mark.parametrize("argv", [
-        *(["train", "--dataset", "logical", "--method", "ccasl+aml", flag, value]
-          for flag, value in [("--epochs", "0"), ("--lr", "0"), ("--lr", "inf"), ("--l2", "-1"),
-                              ("--l2", "nan"), ("--l2", "inf"), ("--h", "-1"),
-                              ("--hprime", "-1"), ("--subset-size", "0")]),
-        *(["gen", "synthetic", flag, value]
-          for flag, value in [("--d", "0"), ("--l", "0"), ("--n", "0"), ("--hidden", "-1")]),
-        ["gen", "logical", "--n", "3"],
-        # A negative seed; --seed and --gen-seed both set a generator's seed.
-        ["gen", "synthetic", "--seed", "-1"],
-        ["gen", "logical", "--seed", "-1"],
-        ["bench", "--dataset", "logical", "--seed", "-1"],
-        ["train", "--dataset", "logical", "--method", "br", "--seed", "-1"],
-        ["train", "--dataset", "synthetic", "--method", "br", "--gen-seed", "-1"],
-        ["bench", "--dataset", str(DATA / "missing.csv"), "--label-count", "3",
-         "--gen-seed", "-1"],
-        ["train", "--dataset", str(DATA / "missing.csv"), "--method", "br",
-         "--label-count", "-1"],
-        ["predict", "--model", str(DATA / "br.json"), "--data", str(DATA / "missing.csv"),
-         "--label-count", "-1"],
-    ], ids=lambda argv: " ".join(argv[-2:]))
-    def test_flag_value_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, flag", [
+        *(pytest.param(argv, argv[-2], id=" ".join(argv[-2:])) for argv in [
+            *(["train", "--dataset", "logical", "--method", "ccasl+aml", flag, value]
+              for flag, value in [("--epochs", "0"), ("--lr", "0"), ("--lr", "inf"), ("--l2", "-1"),
+                                  ("--l2", "nan"), ("--l2", "inf"), ("--h", "-1"),
+                                  ("--hprime", "-1"), ("--subset-size", "0")]),
+            *(["gen", "synthetic", flag, value]
+              for flag, value in [("--d", "0"), ("--l", "0"), ("--n", "0"), ("--hidden", "-1")]),
+            ["gen", "logical", "--n", "3"],
+            # A negative seed; --seed and --gen-seed both set a generator's seed.
+            ["gen", "synthetic", "--seed", "-1"],
+            ["gen", "logical", "--seed", "-1"],
+            ["bench", "--dataset", "logical", "--seed", "-1"],
+            ["train", "--dataset", "logical", "--method", "br", "--seed", "-1"],
+            ["train", "--dataset", "synthetic", "--method", "br", "--gen-seed", "-1"],
+            ["bench", "--dataset", str(DATA / "missing.csv"), "--label-count", "3",
+             "--gen-seed", "-1"],
+            ["train", "--dataset", str(DATA / "missing.csv"), "--method", "br",
+             "--label-count", "-1"],
+            ["predict", "--model", str(DATA / "br.json"), "--data", str(DATA / "missing.csv"),
+             "--label-count", "-1"],
+            ["bench", "--dataset", "logical", "--split", "1.5"],
+            ["bench", "--dataset", "logical", "--methods", ","],
+        ]),
+        # A CSV dataset needs --label-count, so the message names that flag.
+        pytest.param(["bench", "--dataset", str(DATA / "missing.csv")], "--label-count",
+                     id="csv without --label-count"),
+    ])
+    def test_flag_value_out_of_range_is_usage_error(self, tmp_path, capsys, argv, flag):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(f"mlcascade: error: {argv[-2]}")
+        assert capsys.readouterr().err.startswith(f"mlcascade: error: {flag}")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--dataset", "data.txt", "--method", "br"],
+         "unknown dataset source 'data.txt'"),
+        (["train", "--dataset", "logical", "--method", "mlp"], "unknown method 'mlp'"),
+    ])
+    def test_unknown_dataset_source_or_method_is_usage_error(self, tmp_path, capsys, argv,
+                                                             message):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"mlcascade: error: {message}")
         assert not list(tmp_path.iterdir())
 
     def test_parser_is_built_once_per_process(self, monkeypatch):

@@ -128,7 +128,7 @@ class TestEquivalenceOracle:
         br = BRModel([LinearModel(np.zeros(3)) for _ in range(3)], input_dim=2)
         X = np.random.default_rng(7).normal(size=(5, 2))
         assert equivalence_oracle(br, X)
-        assert np.array_equal(br.predict(X[0]), [1, 1, 1])
+        assert np.array_equal(br.predict(X[:1])[0], [1, 1, 1])
 
     def test_large_label_count_refused(self):
         br = BRModel([LinearModel(np.zeros(2)) for _ in range(13)], input_dim=1)

@@ -268,24 +268,24 @@ class TestLayout:
 class TestPredict:
     def test_zero_weights_give_half(self):
         model = LinearModel(np.zeros(3))
-        assert model.predict_proba(np.array([7.0, -4.0])) == 0.5
+        assert model.predict_proba(np.array([[7.0, -4.0]]))[0] == 0.5
 
     def test_orthogonal_input(self):
         model = LinearModel(np.array([0.0, 1.0, 0.0]))
-        assert model.predict_proba(np.array([0.0, 5.0])) == 0.5
+        assert model.predict_proba(np.array([[0.0, 5.0]]))[0] == 0.5
 
     def test_activation_cancels_to_half(self):
         model = LinearModel(np.array([-1.0, 2.0]))
-        assert model.predict_proba(np.array([0.5])) == 0.5
+        assert model.predict_proba(np.array([[0.5]]))[0] == 0.5
 
     def test_bit_tie_goes_to_one(self):
         model = LinearModel(np.zeros(2))
-        assert model.predict_bit(np.array([3.0])) == 1
+        assert model.predict_bit(np.array([[3.0]]))[0] == 1
 
     def test_bit_around_half(self):
         model = LinearModel(np.array([0.0, 1.0]))
-        assert model.predict_bit(np.array([-0.04])) == 0  # proba ~0.49
-        assert model.predict_bit(np.array([0.04])) == 1   # proba ~0.51
+        assert model.predict_bit(np.array([[-0.04]]))[0] == 0  # proba ~0.49
+        assert model.predict_bit(np.array([[0.04]]))[0] == 1   # proba ~0.51
 
     def test_bit_matches_activation_sign(self):
         rng = np.random.default_rng(5)
@@ -298,7 +298,10 @@ class TestPredict:
     def test_dimension_mismatch(self):
         model = LinearModel(np.zeros(3))
         with pytest.raises(ValueError):
-            model.predict_proba(np.ones(5))
+            model.predict_proba(np.ones((1, 5)))
+        # A 1-D array is not read as one row, even of the right width.
+        with pytest.raises(ValueError, match=r"2-D matrix of rows of width 2, got shape \(2,\)"):
+            model.predict_bit(np.ones(2))
 
 
 class TestTrainConfig:

@@ -178,8 +178,8 @@ class TestUniformContract:
         out = model.predict(test.X)
         assert out.shape == (test.n_rows, train.n_labels)
         assert set(np.unique(out)) <= {0, 1}
-        single = model.predict(test.X[0])
-        assert np.array_equal(single, out[0])
+        with pytest.raises(ValueError, match="2-D matrix"):
+            model.predict(test.X[0])
 
     def test_unknown_method_rejected(self, small_random):
         with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ matrix per call, and CCModel.predict fills one preallocated [x | chain bits]
 matrix, where the loops below built a fresh np.hstack copy per unit or chain
 position.  The loops are kept here verbatim as references: weights,
 thresholds and bits must be equal bit for bit, over row counts, widths,
-memory layouts of the input, single 1-D rows and every prefix length.  The
-cascade and projection units read one C-contiguous matrix whatever the
-layout of x, so their references are given x in C order.
+memory layouts of the input, one-row matrices and every prefix length.  A
+1-D row is rejected, not read as one row.  The cascade and projection units
+read one C-contiguous matrix whatever the layout of x, so their references
+are given x in C order.
 
 train_br and train_cc fit every unit through one fit_layer call over one
 design matrix.  Their reference fits each unit on its own C-contiguous
@@ -18,6 +19,7 @@ same message, naming the same unit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +62,7 @@ def reference_init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade
 
 
 def reference_apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
-    X, single = as_rows(x, cascade.D)
+    X = as_rows(x, cascade.D)
     n = X.shape[0]
     Z = np.zeros((n, cascade.H), dtype=np.int64)
     inputs = X
@@ -68,7 +70,7 @@ def reference_apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
         a = inputs @ cascade.weights[k]
         Z[:, k] = a > cascade.thresholds[k]
         inputs = np.hstack([inputs, Z[:, k : k + 1].astype(float)])
-    return Z[0] if single else Z
+    return Z
 
 
 def reference_init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
@@ -94,15 +96,13 @@ def reference_init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomP
 
 def reference_chain_predict(self: CCModel, x: np.ndarray,
                             prefix: np.ndarray | None = None) -> np.ndarray:
-    X, single = as_rows(x, self.input_dim)
+    X = as_rows(x, self.input_dim)
     n = X.shape[0]
     L = self.n_labels
     chain_bits = np.zeros((n, L))
     n_known = 0
     if prefix is not None:
         prefix = np.asarray(prefix, dtype=float)
-        if prefix.ndim == 1:
-            prefix = prefix[None, :]
         n_known = prefix.shape[1]
         if n_known > L or prefix.shape[0] != n:
             raise ValueError("prefix shape does not match the chain")
@@ -114,7 +114,7 @@ def reference_chain_predict(self: CCModel, x: np.ndarray,
         chain_bits[:, j] = self.models[j].predict_bit(feats)
     out = np.zeros((n, L), dtype=np.int64)
     out[:, self.label_order] = chain_bits.astype(np.int64)
-    return out[0] if single else out
+    return out
 
 
 def reference_fit(where: str, X: np.ndarray, y: np.ndarray,
@@ -196,7 +196,7 @@ def test_cascade_matches_reference(h, probe_layout, n, d, kind, layout, seed):
     probe = _matrix(n + 3, d, kind, seed + 1, probe_layout)
     ref_probe = _c_ordered(probe, probe_layout)
     assert _same(apply_cascade(new, probe), reference_apply_cascade(ref, ref_probe))
-    assert _same(apply_cascade(new, probe[1]), reference_apply_cascade(ref, ref_probe[1]))
+    assert _same(apply_cascade(new, probe[1:2]), reference_apply_cascade(ref, ref_probe[1:2]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,8 +225,8 @@ def test_chain_predict_matches_reference(L, data, n, d, kind, layout, seed):
         prefix = prefix.astype(float)
     assert _same(chain.predict(X), reference_chain_predict(chain, X))
     assert _same(chain.predict(X, prefix=prefix), reference_chain_predict(chain, X, prefix))
-    assert _same(chain.predict(X[0], prefix=prefix[0]),
-                 reference_chain_predict(chain, X[0], prefix[0]))
+    with pytest.raises(ValueError, match="2-D matrix"):
+        chain.predict(X[0], prefix=prefix[0])
 
 
 def _fits(train):

@@ -112,11 +112,11 @@ class TestCascadeEvaluation:
             weights=[np.zeros(2), np.zeros(3)],
             thresholds=np.array([0.5, 0.5]),
         )
-        assert not apply_cascade(cascade, np.array([3.0, -1.0])).any()
+        assert not apply_cascade(cascade, np.array([[3.0, -1.0]]))[0].any()
 
     def test_single_unit_fires(self):
         cascade = TLUCascade(D=2, H=1, weights=[np.array([1.0, 0.0])], thresholds=np.array([0.0]))
-        assert apply_cascade(cascade, np.array([1.0, 0.0]))[0] == 1
+        assert apply_cascade(cascade, np.array([[1.0, 0.0]]))[0, 0] == 1
 
     def test_hand_built_chaining(self):
         # Unit 2 reads z1 with a large negative weight: it fires only when z1 is off.
@@ -125,8 +125,8 @@ class TestCascadeEvaluation:
             weights=[np.array([1.0]), np.array([0.0, -1.0])],
             thresholds=np.array([0.0, -0.5]),
         )
-        z_pos = apply_cascade(cascade, np.array([2.0]))
-        z_neg = apply_cascade(cascade, np.array([-2.0]))
+        z_pos = apply_cascade(cascade, np.array([[2.0]]))[0]
+        z_neg = apply_cascade(cascade, np.array([[-2.0]]))[0]
         # x=2: z1=1, unit2 activation -1 < -0.5 so z2=0; x=-2: z1=0, activation 0 > -0.5.
         assert np.array_equal(z_pos, [1, 0])
         assert np.array_equal(z_neg, [0, 1])
@@ -139,7 +139,7 @@ class TestCascadeEvaluation:
     def test_dim_mismatch(self, train_X):
         cascade = init_cascade(train_X, 2, seed=5)
         with pytest.raises(ValueError):
-            apply_cascade(cascade, np.ones(3))
+            apply_cascade(cascade, np.ones((1, 3)))
 
     def test_json_round_trip(self, train_X):
         cascade = init_cascade(train_X, 4, seed=9)
@@ -255,13 +255,13 @@ class TestSampleIndicators:
 class TestApplyIndicators:
     def test_specific_pattern_fires(self):
         ind = LabelIndicatorSet(n_labels=7, entries=[((0, 2, 5), 5)])
-        y = np.array([1, 0, 0, 0, 0, 1, 0])
-        assert apply_indicators(ind, y)[0] == 1
+        y = np.array([[1, 0, 0, 0, 0, 1, 0]])
+        assert apply_indicators(ind, y)[0, 0] == 1
 
     def test_pattern_mismatch(self):
         ind = LabelIndicatorSet(n_labels=7, entries=[((0, 2, 5), 5)])
-        y = np.array([0, 0, 0, 0, 0, 1, 0])
-        assert apply_indicators(ind, y)[0] == 0
+        y = np.array([[0, 0, 0, 0, 0, 1, 0]])
+        assert apply_indicators(ind, y)[0, 0] == 0
 
     def test_full_subset_fires_for_exactly_one_vector(self):
         L = 4
@@ -277,13 +277,13 @@ class TestApplyIndicators:
         Y = rng.integers(0, 2, size=(20, 6))
         ind = sample_indicators(Y, 10, 3, seed=9)
         y = rng.integers(0, 2, size=6)
-        base = apply_indicators(ind, y)
+        base = apply_indicators(ind, y[None, :])[0]
         for k, (s, _) in enumerate(ind.entries):
             outside = [j for j in range(6) if j not in s]
             for j in outside:
                 flipped = y.copy()
                 flipped[j] ^= 1
-                assert apply_indicators(ind, flipped)[k] == base[k]
+                assert apply_indicators(ind, flipped[None, :])[0, k] == base[k]
 
     def test_out_of_range_subset_rejected(self):
         with pytest.raises(ValueError):
@@ -317,3 +317,14 @@ class TestApplyIndicators:
         with pytest.raises(ValueError) as err:
             LabelIndicatorSet(n_labels=3, entries=entries)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("apply, part", [
+    (apply_cascade, TLUCascade(D=2, H=1, weights=[np.ones(2)], thresholds=np.zeros(1))),
+    (apply_projection, RandomProjection(D=2, H=1, weights=[np.ones(2)], thresholds=np.zeros(1))),
+    (apply_indicators, LabelIndicatorSet(n_labels=2, entries=[((0, 1), 3)])),
+])
+def test_a_1d_row_is_rejected(apply, part):
+    assert apply(part, np.ones((1, 2))).shape == (1, 1)
+    with pytest.raises(ValueError, match=r"2-D matrix of rows of width 2, got shape \(2,\)"):
+        apply(part, np.ones(2))

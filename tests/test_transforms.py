@@ -50,9 +50,9 @@ class TestBinaryRelevance:
     def test_single_feature_sanity(self):
         up = LinearModel(np.array([0.0, 1.0]))
         br = BRModel([up], input_dim=1)
-        assert br.predict(np.array([0.5]))[0] == 1
-        assert br.predict(np.array([-0.5]))[0] == 0
-        assert br.predict(np.array([0.0]))[0] == 1  # tie rule
+        assert br.predict(np.array([[0.5]]))[0, 0] == 1
+        assert br.predict(np.array([[-0.5]]))[0, 0] == 0
+        assert br.predict(np.array([[0.0]]))[0, 0] == 1  # tie rule
 
     def test_relabeling_invariance(self, random_binary_dataset):
         ds = random_binary_dataset
@@ -142,6 +142,7 @@ class _TruthLookup:
 
     def __init__(self, dataset):
         self.dataset = dataset
+        self.input_dim = dataset.n_features
 
     @property
     def n_labels(self):
@@ -156,8 +157,11 @@ class _TruthLookup:
 
 
 class _ConstantZeros:
-    def __init__(self, n_labels):
-        self.n_labels = n_labels
+    """Stub first layer that predicts all zeros for the dataset's labels."""
+
+    def __init__(self, dataset):
+        self.input_dim = dataset.n_features
+        self.n_labels = dataset.n_labels
 
     def predict(self, X):
         return np.zeros((X.shape[0], self.n_labels), dtype=np.int64)
@@ -170,7 +174,7 @@ class TestStacking:
 
     def test_constant_zero_first_layer_equals_plain_br(self, logical):
         # All-zero appended columns never influence gradient descent.
-        stacked = train_stack(logical, lambda ds: _ConstantZeros(ds.n_labels))
+        stacked = train_stack(logical, _ConstantZeros)
         br = train_br(logical)
         assert np.array_equal(stacked.predict(logical.X), br.predict(logical.X))
 
@@ -178,12 +182,12 @@ class TestStacking:
         ds = Dataset(random_binary_dataset.X, random_binary_dataset.Y[:, :1])
         br = train_br(ds)
         cc = train_cc(ds)
-        stacked = train_stack(ds, lambda d: _ConstantZeros(1))
+        stacked = train_stack(ds, _ConstantZeros)
         rng = np.random.default_rng(2)
         X = rng.normal(size=(25, ds.n_features))
         assert np.array_equal(br.predict(X), cc.predict(X))
         assert np.array_equal(br.predict(X), stacked.predict(X))
 
     def test_meta_layer_input_dim(self, logical):
-        stacked = train_stack(logical, lambda ds: _ConstantZeros(ds.n_labels))
+        stacked = train_stack(logical, _ConstantZeros)
         assert stacked.meta.input_dim == logical.n_features + logical.n_labels
