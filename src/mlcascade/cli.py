@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -80,18 +81,20 @@ def _write_manifest(csv_path: Path, manifest: dict) -> Path:
     return manifest_path
 
 
-# The flag that sets each checked config field.  A config's error for a
-# value out of range starts with the field's name; the usage error names the
-# flag.
-_FLAGS = {"learning_rate": "--lr", "epochs": "--epochs", "l2_penalty": "--l2",
-          "synthetic_count": "--h", "indicator_count": "--hprime",
-          "subset_size": "--subset-size", "D": "--d", "L": "--l", "N": "--n", "n_rows": "--n",
-          "hidden_units": "--hidden", "seed": "--seed"}
+def _checked(make, *args, **kw):
+    """make(*args, **kw), where a config's error for a field out of range,
+    which starts with the field's name, is a usage error naming its flag."""
+    try:
+        return make(*args, **kw)
+    except ValueError as e:
+        raise UsageError(f"{_FLAG_OF[str(e).split()[0]]}: {e}") from None
 
 
-def _usage_error(e: ValueError) -> UsageError:
-    """A config's error for a field out of range, as a usage error naming its flag."""
-    return UsageError(f"{_FLAGS[str(e).split()[0]]}: {e}")
+def _config(cls, args, **given):
+    """A cls from the parsed flags named after its fields and the given
+    values; a value out of range is a usage error."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return _checked(cls, **flags | given)
 
 
 def _check_seed(seed: int, flag: str) -> None:
@@ -104,25 +107,16 @@ def _check_seed(seed: int, flag: str) -> None:
 
 def _method_config(args) -> MethodConfig:
     """The method flags as a MethodConfig; a value out of range is a usage error."""
-    try:
-        base = TrainConfig(learning_rate=args.lr, epochs=args.epochs, l2_penalty=args.l2)
-        return MethodConfig(synthetic_count=args.h, indicator_count=args.hprime,
-                            subset_size=args.subset_size, base=base, seed=args.seed)
-    except ValueError as e:
-        raise _usage_error(e) from None
+    return _config(MethodConfig, args, base=_config(TrainConfig, args))
 
 
 def _generate(kind: str, args, seed: int) -> tuple[Dataset, dict]:
     """A generated dataset from the --n, --d, --l and --hidden flags, and its
     manifest; a flag value out of range is a usage error."""
-    try:
-        if kind == "logical":
-            n = args.n if args.n is not None else 20
-            return gen_logical(n), {"kind": "logical", "n": n}
-        spec = SynthNetSpec(D=args.d, L=args.l, N=args.n if args.n is not None else 2000,
-                            hidden_units=args.hidden, seed=seed)
-    except ValueError as e:
-        raise _usage_error(e) from None
+    if kind == "logical":
+        n = args.N if args.N is not None else 20
+        return _checked(gen_logical, n), {"kind": "logical", "n": n}
+    spec = _config(SynthNetSpec, args, N=args.N if args.N is not None else 2000, seed=seed)
     manifest = {"kind": "synthetic", "n": spec.N, "d": spec.D, "l": spec.L,
                 "hidden": spec.hidden_units, "seed": spec.seed}
     return gen_synthetic(spec), manifest
@@ -269,83 +263,81 @@ def _predictions_csv(label_names: list[str], bits: np.ndarray) -> bytes:
     return (",".join(label_names) + "\n").encode("utf-8") + body.tobytes()
 
 
-def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", required=True,
-                   help="'logical', 'synthetic', or a path to a CSV file")
-    p.add_argument("--label-count", type=int, default=None,
-                   help="number of label columns in a CSV dataset")
-    p.add_argument("--labels-first", action="store_true",
-                   help="labels occupy the leading CSV columns instead of the trailing ones")
-    _add_generator_flags(p)
-    p.add_argument("--gen-seed", type=int, default=DEFAULT_SEED,
-                   help="seed for a generated dataset")
+# Every argument of every subcommand with its argparse keywords.  A flag that
+# sets a config field has the field's name as its dest; where the flag's own
+# name differs from that in more than case, it is the metavar.
+_ARGS = {
+    "kind": dict(choices=["logical", "synthetic"]),
+    "--dataset": dict(required=True, help="'logical', 'synthetic', or a path to a CSV file"),
+    "--model": dict(required=True, help="saved model JSON"),
+    "--data": dict(required=True, help="input CSV"),
+    "--label-count": dict(type=int, help="number of label columns in the CSV "
+                          "(predict: default 0, stripped from the input)"),
+    "--labels-first": dict(action="store_true",
+                           help="labels occupy the leading CSV columns instead of the trailing ones"),
+    "--n": dict(type=int, dest="N", help="rows for a generated dataset"),
+    "--d": dict(type=int, default=10, dest="D", help="features for the synthetic generator"),
+    "--l": dict(type=int, default=10, dest="L", help="labels for the synthetic generator"),
+    "--hidden": dict(type=int, default=100, dest="hidden_units", metavar="HIDDEN",
+                     help="hidden units for the synthetic generator (0 = linear)"),
+    "--gen-seed": dict(type=int, default=DEFAULT_SEED, help="seed for a generated dataset"),
+    "--methods": dict(default=",".join(METHOD_NAMES),
+                      help="comma list from: " + ",".join(METHOD_NAMES)),
+    "--iters": dict(type=int, default=10),
+    "--split": dict(type=float, default=0.6, help="train fraction of each shuffled split"),
+    "--method": dict(required=True),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="master seed (gen: generator seed)"),
+    "--h": dict(type=int, dest="synthetic_count", metavar="H",
+                help="synthetic label count (default: per-method)"),
+    "--hprime": dict(type=int, dest="indicator_count", metavar="HPRIME",
+                     help="label-subset indicator count (default: 2x labels)"),
+    "--subset-size": dict(type=int, default=MethodConfig.subset_size,
+                          help="labels per indicator subset"),
+    "--lr": dict(type=float, default=TrainConfig.learning_rate, dest="learning_rate",
+                 metavar="LR", help="base learner step size"),
+    "--epochs": dict(type=int, default=TrainConfig.epochs, help="base learner epochs"),
+    "--l2": dict(type=float, default=TrainConfig.l2_penalty, dest="l2_penalty", metavar="L2",
+                 help="base learner L2 penalty"),
+    "--name": dict(help="report name (default: dataset name)"),
+    "--no-standardize": dict(action="store_true",
+                             help="train on raw features instead of standardized ones"),
+    "--out": dict(required=True, help="output path: the CSV for gen and predict, the report "
+                  "directory for bench, the model JSON for train"),
+}
 
+# The flag that sets each config field, found by its dest (argparse's default
+# dest is the flag's name with '_' for '-'), and gen_logical's row count.
+_FLAG_OF = {kw.get("dest", name[2:].replace("-", "_")): name
+            for name, kw in _ARGS.items() if name.startswith("--")} | {"n_rows": "--n"}
 
-def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None, help="rows for a generated dataset")
-    p.add_argument("--d", type=int, default=10, help="features for the synthetic generator")
-    p.add_argument("--l", type=int, default=10, help="labels for the synthetic generator")
-    p.add_argument("--hidden", type=int, default=100,
-                   help="hidden units for the synthetic generator (0 = linear)")
+_GENERATOR = "--n --d --l --hidden"
+_DATASET = f"--dataset --label-count --labels-first {_GENERATOR} --gen-seed"
+_METHOD = "--seed --h --hprime --subset-size --lr --epochs --l2"
 
-
-def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    p.add_argument("--h", type=int, default=None,
-                   help="synthetic label count (default: per-method)")
-    p.add_argument("--hprime", type=int, default=None,
-                   help="label-subset indicator count (default: 2x labels)")
-    p.add_argument("--subset-size", type=int, default=MethodConfig.subset_size,
-                   help="labels per indicator subset")
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
-                   help="base learner step size")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="base learner epochs")
-    p.add_argument("--l2", type=float, default=TrainConfig.l2_penalty,
-                   help="base learner L2 penalty")
+# Each subcommand's help, its arguments in --help order and its defaults.
+_COMMANDS = {
+    "gen": ("generate a dataset CSV plus a manifest", f"kind {_GENERATOR} --seed --out",
+            dict(func=cmd_gen)),
+    "bench": ("run the shuffled multi-iteration benchmark",
+              f"{_DATASET} --methods --iters --split {_METHOD} --name --out",
+              dict(func=cmd_bench)),
+    "train": ("train one method and save it as JSON",
+              f"{_DATASET} --method {_METHOD} --no-standardize --out", dict(func=cmd_train)),
+    "predict": ("predict labels for a CSV with a saved model",
+                "--model --data --label-count --labels-first --out",
+                dict(func=cmd_predict, label_count=0)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mlcascade",
                      description="Multi-label classification benchmark toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_gen = sub.add_parser("gen", help="generate a dataset CSV plus a manifest")
-    p_gen.add_argument("kind", choices=["logical", "synthetic"])
-    _add_generator_flags(p_gen)
-    p_gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_gen.add_argument("--out", required=True, help="output CSV path")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="run the shuffled multi-iteration benchmark")
-    _add_dataset_flags(p_bench)
-    p_bench.add_argument("--methods", default=",".join(METHOD_NAMES),
-                         help="comma list from: " + ",".join(METHOD_NAMES))
-    p_bench.add_argument("--iters", type=int, default=10)
-    p_bench.add_argument("--split", type=float, default=0.6,
-                         help="train fraction of each shuffled split")
-    _add_method_flags(p_bench)
-    p_bench.add_argument("--name", default=None, help="report name (default: dataset name)")
-    p_bench.add_argument("--out", required=True, help="output directory for report files")
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_train = sub.add_parser("train", help="train one method and save it as JSON")
-    _add_dataset_flags(p_train)
-    p_train.add_argument("--method", required=True)
-    _add_method_flags(p_train)
-    p_train.add_argument("--no-standardize", action="store_true",
-                         help="train on raw features instead of standardized ones")
-    p_train.add_argument("--out", required=True, help="output model path (JSON)")
-    p_train.set_defaults(func=cmd_train)
-
-    p_pred = sub.add_parser("predict", help="predict labels for a CSV with a saved model")
-    p_pred.add_argument("--model", required=True, help="saved model JSON")
-    p_pred.add_argument("--data", required=True, help="input CSV")
-    p_pred.add_argument("--label-count", type=int, default=0,
-                        help="label columns present in the input CSV (stripped)")
-    p_pred.add_argument("--labels-first", action="store_true")
-    p_pred.add_argument("--out", required=True, help="output predictions CSV")
-    p_pred.set_defaults(func=cmd_predict)
-
+    for command, (text, names, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in names.split():
+            p.add_argument(name, **_ARGS[name])
+        p.set_defaults(**defaults)
     return parser
 
 

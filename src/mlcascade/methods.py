@@ -266,10 +266,11 @@ MODEL_VERSION = 1
 
 
 # The typed fields of a model document, wherever they occur: the JSON types
-# a field may have and how an error names them.  The entries of a list field,
-# also in nested lists, must have one of those types too.  Types are tested
-# exactly, so true and false are not integers here although Python's bool is
-# a subclass of int.
+# a field may have and how an error names them.  A field whose types include
+# list must be a list (_field checks this; _check_meta_lengths checks the
+# metadata lists), and its entries, also in nested lists, must have one of
+# those types too.  Types are tested exactly, so true and false are not
+# integers here although Python's bool is a subclass of int.
 _FIELD_TYPES = {
     "kind": ({str}, "a string"),
     "cascade_at_test": ({bool}, "true or false"),
@@ -300,7 +301,10 @@ def _field(d: dict, path: str, name: str) -> Any:
         raise ValueError(f"missing field {path}.{name}")
     value = d[name]
     if name in _FIELD_TYPES:
-        _check_type(value, f"{path}.{name}", *_FIELD_TYPES[name])
+        types, what = _FIELD_TYPES[name]
+        if list in types and type(value) is not list:
+            raise ValueError(f"field {path}.{name} must be a list, got {json.dumps(value)}")
+        _check_type(value, f"{path}.{name}", types, what)
     return value
 
 
@@ -333,7 +337,8 @@ def _encode(part: Any) -> Any:
 def _build(cls: type, d: dict, path: str = "$") -> Any:
     """The instance of cls that _encode wrote as d, found at path in the
     document, each field read by its type.  A ValueError from the
-    constructor's own checks names path."""
+    constructor's own checks names path, and so does an OverflowError from
+    an integer too large for the array it is read into."""
     values = {}
     for name, tp in _field_types(cls).items():
         value, at = _field(d, path, name), f"{path}.{name}"
@@ -348,7 +353,7 @@ def _build(cls: type, d: dict, path: str = "$") -> Any:
         values[name] = value
     try:
         return cls(**values)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
@@ -415,13 +420,13 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     Raises ValueError naming the file for a file that is not JSON, or nested
     too deeply to read, or is not a version-1 model document, and names the
     JSON path of the first missing field, of a scalar field or a
-    number-list entry of the wrong type, of a "models" field that is not a
-    list of objects, of a model part that fails its own checks (its arrays
-    do not fit together) and of a metadata list that is not as long as the
-    model's inputs or labels; a field of another wrong type is named by the
-    error numpy or Python raised for it.  The document is checked and built
-    in one walk, so the first of these errors in walk order is the one
-    raised: the metadata types, then the model, then the metadata lengths."""
+    number-list entry of the wrong type, of a list field that is not a list,
+    of a "models" field that is not a list of objects, of a model part that
+    fails its own checks (its arrays do not fit together, or hold an integer
+    too large for them) and of a metadata list that is not as long as the
+    model's inputs or labels.  The document is checked and built in one
+    walk, so the first of these errors in walk order is the one raised: the
+    metadata types, then the model, then the metadata lengths."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -446,8 +451,6 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    except TypeError as e:
-        raise ValueError(f"{path}: a model field has the wrong type: {e}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     return model, meta

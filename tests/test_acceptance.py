@@ -107,6 +107,14 @@ def test_3_synthetic_data_contrast(contrast_means):
     _gate(3, "synthetic contrast", ok, detail)
 
 
+def test_synthetic_contrast_means_are_the_readme_numbers(contrast_means):
+    """The README quotes gate 3's four means to 3 decimals; they must not drift."""
+    got = {variant: {name: f"{mean:.3f}" for name, mean in means.items()}
+           for variant, means in contrast_means.items()}
+    assert got == {"complex": {"br": "0.159", "ccasl": "0.249"},
+                   "linear": {"br": "0.942", "ccasl": "0.747"}}
+
+
 def test_4_hidden_unit_sweep():
     logical = gen_logical(20)
     aml = run_experiment(

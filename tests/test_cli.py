@@ -321,6 +321,13 @@ class TestTrainPredict:
          "$.model.indicators: subsets must be nonempty"),
         (lambda d: d["model"]["indicators"]["entries"][0][0].reverse(),
          "$.model.indicators: subset indices must be strictly increasing"),
+        # A list field holding a bare number.
+        (lambda d: d["model"]["middle"].update(label_order=5),
+         "field $.model.middle.label_order must be a list, got 5"),
+        (lambda d: d["model"]["cascade"].update(weights=1.5),
+         "field $.model.cascade.weights must be a list, got 1.5"),
+        (lambda d: d["model"]["indicators"].update(entries=5),
+         "field $.model.indicators.entries must be a list, got 5"),
     ])
     def test_wrong_type_number_list_entry_is_data_error(self, tmp_path, logical_csv,
                                                         capsys, edit, message):
@@ -365,6 +372,10 @@ class TestTrainPredict:
          "$.standardizer: std[0] must be finite and >= 1e-09, got inf"),
         (lambda d: d["standardizer"]["mean"].__setitem__(1, float("nan")),
          "$.standardizer: mean[1] must be finite, got nan"),
+        (lambda d: d["standardizer"]["mean"].__setitem__(0, 10**400),
+         "$.standardizer: int too large to convert to float"),
+        (lambda d: d["standardizer"].update(std=-1),
+         "field $.standardizer.std must be a list, got -1"),
     ])
     def test_malformed_metadata_is_data_error(self, tmp_path, logical_csv, br_doc, capsys,
                                               edit, message):
@@ -406,6 +417,15 @@ class TestTrainPredict:
         ("ccasl+br", lambda m: m["meta"].update(
             input_dim=4, models=[{"weights": o["weights"][:-1]} for o in m["meta"]["models"]]),
          "$.model: meta.input_dim is 4, but input_dim + first_layer.n_labels is 5"),
+        # An integer too large for the array it is read into.
+        ("br", lambda m: m["models"][0]["weights"].__setitem__(0, 10**400),
+         "$.model.models[0]: int too large to convert to float"),
+        ("ccasl", lambda m: m["cascade"]["thresholds"].__setitem__(0, 10**400),
+         "$.model.cascade: int too large to convert to float"),
+        ("cc", lambda m: m["label_order"].__setitem__(0, 10**400),
+         "$.model: Python int too large to convert to C long"),
+        ("elm", lambda m: m["projection"].update(weights=-1),
+         "field $.model.projection.weights must be a list, got -1"),
     ])
     def test_inconsistent_model_part_is_data_error(self, tmp_path, logical_csv, capsys,
                                                    method, edit, message):
@@ -432,6 +452,19 @@ class TestTrainPredict:
         data.write_text("\n".join([header, *rows]) + "\n")
         assert self._predict(tmp_path, model_doc, data) == 2
         assert "nan.csv: row 4, column 'x1': value 'nan' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("text, label_count, message", [
+        ("", "3", "empty file"),
+        ("x1,x2,a,b,c\n0,1,0,1,1\n", "6", "label_count 6 exceeds 5 columns"),
+    ], ids=["zero-byte", "label-count-too-large"])
+    def test_unreadable_prediction_csv_is_data_error(self, tmp_path, capsys, text, label_count,
+                                                     message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert main(["predict", "--model", str(DATA / "br.json"), "--data", str(data),
+                     "--label-count", label_count, "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"mlcascade: data error: {data}: {message}\n"
         assert not (tmp_path / "p.csv").exists()
 
     def test_missing_model_field_is_data_error(self, tmp_path, logical_csv,

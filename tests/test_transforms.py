@@ -136,6 +136,13 @@ class TestClassifierChain:
         forced = cc.predict(combos, prefix=free[:, :1].astype(float))
         assert np.array_equal(free, forced)
 
+    @pytest.mark.parametrize("rows, width", [(4, 4), (3, 1)], ids=["wider", "fewer-rows"])
+    def test_prefix_that_does_not_fit_is_rejected(self, logical, rows, width):
+        cc = train_cc(logical, [0, 1, 2])
+        combos = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="prefix shape does not match the chain"):
+            cc.predict(combos, prefix=np.zeros((rows, width)))
+
 
 class _TruthLookup:
     """Stub first layer that replays memorized labels for known rows."""
