@@ -162,24 +162,27 @@ def init_cascade(train_X: np.ndarray, H: int, seed: int) -> TLUCascade:
     return _draw_units(TLUCascade, train_X, H, seed)
 
 
-def apply_cascade(cascade: TLUCascade, x: np.ndarray) -> np.ndarray:
-    """Evaluate the cascade: unit k reads [x, z_1..z_{k-1}] and fires on a > t."""
-    D = cascade.D
-    inputs = with_bit_columns(as_rows(x, D), cascade.H)
-    for k, (row, t) in enumerate(zip(cascade.weights, cascade.thresholds)):
-        inputs[:, D + k] = inputs[:, : D + k] @ row > t
-    return inputs[:, D:].astype(np.int64)
-
-
 def init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomProjection:
     """Flat counterpart of init_cascade: the same per-unit draws, no chaining."""
     return _draw_units(RandomProjection, train_X, H, seed)
 
 
-def apply_projection(proj: RandomProjection, x: np.ndarray) -> np.ndarray:
-    # A C-contiguous X makes the product, and so the bits, independent of x's layout.
-    X = np.ascontiguousarray(as_rows(x, proj.D))
-    return (X @ proj.weights.T > proj.thresholds).astype(np.int64)
+def _apply_units(units: _ThresholdUnits, x: np.ndarray) -> np.ndarray:
+    """Evaluate threshold units on the rows of x: unit k reads the first
+    row_width(D, k) columns of [x | bits] and fires on a > t, so a cascade's
+    unit reads [x, z_1..z_{k-1}] and a projection's unit reads x alone.
+
+    Each unit is one GEMV on its column prefix, as in _draw_units, not one
+    matrix-matrix product over all units: OpenBLAS's threaded GEMM can stall
+    for milliseconds on small shapes (see the README's kernel rule)."""
+    D = units.D
+    inputs = with_bit_columns(as_rows(x, D), units.H)
+    for k, (row, t) in enumerate(zip(units.weights, units.thresholds)):
+        inputs[:, D + k] = inputs[:, : units.row_width(D, k)] @ row > t
+    return inputs[:, D:].astype(np.int64)
+
+
+apply_cascade = apply_projection = _apply_units
 
 
 def sample_indicators(

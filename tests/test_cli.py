@@ -81,6 +81,18 @@ class TestBench:
                               "'logical', iteration 0: label 'or': training diverged at epoch ")
         assert not out.exists()
 
+    def test_method_raising_another_error_is_internal_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def boom(name, dataset, cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("mlcascade.evaluate.train_method", boom)
+        code = main(["bench", "--dataset", "logical", "--methods", "br",
+                     "--iters", "1", "--out", str(tmp_path / "reports")])
+        assert code == 3
+        assert capsys.readouterr().err == ("mlcascade: method 'br' failed on dataset "
+                                           "'logical', iteration 0: boom\n")
+
     def test_unknown_method_is_usage_error(self, tmp_path):
         code = main(["bench", "--dataset", "logical", "--methods", "svm",
                      "--out", str(tmp_path)])
@@ -364,6 +376,8 @@ class TestTrainPredict:
         (lambda d: d["model"]["models"][0].update(weights=[[0.1, 0.2, 0.3]]),
          "$.model.models[0]: weights must be a 1-D vector"),
         # Python's json reads and writes NaN and Infinity.
+        (lambda d: d["model"]["models"][1]["weights"].__setitem__(0, float("nan")),
+         "$.model.models[1]: weights must be finite"),
         (lambda d: d["standardizer"]["std"].__setitem__(0, -0.5),
          "$.standardizer: std[0] must be finite and >= 1e-09, got -0.5"),
         (lambda d: d["standardizer"]["std"].__setitem__(1, 0),

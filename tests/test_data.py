@@ -252,6 +252,19 @@ class TestDataset:
         assert ds.feature_names == ["x1", "x2"]
         assert ds.label_names == ["y1", "y2", "y3"]
 
+    @pytest.mark.parametrize("X, Y, names, message", [
+        (np.zeros(2), np.zeros((2, 1)), {}, "X and Y must be 2-D matrices"),
+        (np.zeros((2, 2)), np.zeros(2), {}, "X and Y must be 2-D matrices"),
+        (np.zeros((0, 2)), np.zeros((0, 1)), {}, "a dataset needs at least one row"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), {"feature_names": ["a"]},
+         "feature_names length does not match X columns"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), {"label_names": ["p", "q"]},
+         "label_names length does not match Y columns"),
+    ])
+    def test_malformed_dataset_is_rejected(self, X, Y, names, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(X, Y, **names)
+
 
 class TestGenLogical:
     def test_cardinality_is_three_halves(self):
@@ -375,6 +388,19 @@ class TestCsv:
         p.write_text("a,b\n")
         with pytest.raises(CsvFormatError):
             load_csv(p, label_count=1)
+
+    @pytest.mark.parametrize("text, label_count, message", [
+        ("a,b\n0.5,1\n", -1, "label_count must be >= 0"),
+        # np.loadtxt reads the rows as a 2 x 2 matrix, so the C parse hands
+        # the file to csv.reader, which names the first short row.
+        ("a,b,c\n0.5,1\n-1,0\n", 1, "row 2 has 2 cells, expected 3"),
+    ])
+    def test_bad_label_count_or_header_width_is_named(self, tmp_path, text, label_count,
+                                                       message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(p, label_count=label_count)
 
     @settings(max_examples=300, deadline=None)
     @given(csv_tables())

@@ -65,6 +65,12 @@ class TestMetrics:
         with pytest.raises(ValueError):
             hamming_score(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("metric", [exact_match, hamming_score])
+    @pytest.mark.parametrize("Y", [np.zeros(3), np.zeros((0, 2))])
+    def test_one_d_or_empty_input_rejected(self, metric, Y):
+        with pytest.raises(ValueError, match="^prediction sets must be nonempty 2-D matrices$"):
+            metric(Y, Y)
+
     def test_exact_never_exceeds_hamming(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
@@ -130,6 +136,15 @@ class TestEquivalenceOracle:
         assert equivalence_oracle(br, X)
         assert np.array_equal(br.predict(X[:1])[0], [1, 1, 1])
 
+    def test_decisions_that_disagree_with_the_probabilities_fail(self):
+        class Flipped(BRModel):
+            def predict(self, x):
+                return 1 - super().predict(x)
+
+        rng = np.random.default_rng(8)
+        br = Flipped([LinearModel(rng.normal(size=3)) for _ in range(2)], input_dim=2)
+        assert not equivalence_oracle(br, rng.normal(size=(5, 2)))
+
     def test_large_label_count_refused(self):
         br = BRModel([LinearModel(np.zeros(2)) for _ in range(13)], input_dim=1)
         with pytest.raises(ValueError):
@@ -178,6 +193,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment({"logical": gen_logical(20)}, ["br"], 0, 0.6, master_seed=1)
 
+    def test_empty_method_list_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one method$"):
+            run_experiment({"logical": gen_logical(20)}, [], 1, 0.6, master_seed=1)
+
     def test_method_config_overrides_respected(self):
         report = run_experiment(
             {"logical": gen_logical(20)},
@@ -214,3 +233,5 @@ class TestReportFormats:
 
     def test_mean_lookup(self, report):
         assert report.mean("exact", "logical", "br") == report.exact_mean[0, 0]
+        with pytest.raises(ValueError, match="^metric must be 'exact' or 'hamming', got 'f1'$"):
+            report.mean("f1", "logical", "br")

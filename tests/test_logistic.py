@@ -209,6 +209,15 @@ class TestTrainLogistic:
         with pytest.raises(ValueError):
             train_logistic(np.array([[np.nan, 1.0]]), np.array([1]))
 
+    @pytest.mark.parametrize("X, y, message", [
+        (np.zeros(3), np.zeros(3), "X must be a 2-D matrix of feature rows"),
+        (np.zeros((3, 2)), np.zeros(2), "X has 3 rows but y has 2 targets"),
+        (np.zeros((2, 2)), np.array([0, 2]), "targets must be 0 or 1"),
+    ])
+    def test_malformed_training_data_is_named(self, X, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_logistic(X, y)
+
     def test_divergence_stops_at_first_nonfinite_bias(self):
         lr = 1e30
         with np.errstate(all="ignore"):

@@ -1,15 +1,15 @@
 """The cascade, projection, greedy-chain and training loops against plain
 per-unit loops.
 
-init_cascade, init_projection and apply_cascade now share one [x | bits]
-matrix per call, and CCModel.predict fills one preallocated [x | chain bits]
-matrix, where the loops below built a fresh np.hstack copy per unit or chain
-position.  The loops are kept here verbatim as references: weights,
-thresholds and bits must be equal bit for bit, over row counts, widths,
-memory layouts of the input, one-row matrices and every prefix length.  A
-1-D row is rejected, not read as one row.  The cascade and projection units
-read one C-contiguous matrix whatever the layout of x, so their references
-are given x in C order.
+init_cascade, init_projection, apply_cascade and apply_projection now share
+one [x | bits] matrix per call, and CCModel.predict fills one preallocated
+[x | chain bits] matrix, where the loops below built a fresh np.hstack copy
+per unit or chain position, or read x itself.  The loops are kept here
+verbatim as references: weights, thresholds and bits must be equal bit for
+bit, over row counts, widths, memory layouts of the input, one-row matrices
+and every prefix length.  A 1-D row is rejected, not read as one row.  The
+cascade and projection units read one C-contiguous matrix whatever the
+layout of x, so their references are given x in C order.
 
 train_br and train_cc fit every unit through one fit_layer call over one
 design matrix.  Their reference fits each unit on its own C-contiguous
@@ -20,7 +20,7 @@ same message, naming the same unit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcascade.data import Dataset
@@ -32,6 +32,7 @@ from mlcascade.synth import (
     RandomProjection,
     TLUCascade,
     apply_cascade,
+    apply_projection,
     init_cascade,
     init_projection,
 )
@@ -92,6 +93,15 @@ def reference_init_projection(train_X: np.ndarray, H: int, seed: int) -> RandomP
             rng.standard_normal()
         )
     return RandomProjection(D=D, H=H, weights=weights, thresholds=thresholds, seed=seed)
+
+
+def reference_apply_projection(proj: RandomProjection, x: np.ndarray) -> np.ndarray:
+    X = as_rows(x, proj.D)
+    Z = np.zeros((X.shape[0], proj.H), dtype=np.int64)
+    for k in range(proj.H):
+        a = X @ proj.weights[k]
+        Z[:, k] = a > proj.thresholds[k]
+    return Z
 
 
 def reference_chain_predict(self: CCModel, x: np.ndarray,
@@ -200,13 +210,20 @@ def test_cascade_matches_reference(h, probe_layout, n, d, kind, layout, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(h=st.integers(0, 12), **shapes)
-def test_projection_matches_reference(h, n, d, kind, layout, seed):
+@given(h=st.integers(0, 12), probe_layout=st.sampled_from(LAYOUTS), **shapes)
+@example(h=0, probe_layout="F", n=5, d=3, kind="normal", layout="C", seed=1)
+def test_projection_matches_reference(h, probe_layout, n, d, kind, layout, seed):
     X = _matrix(n, d, kind, seed, layout)
-    new = init_projection(X, h, seed)
-    ref = reference_init_projection(_c_ordered(X, layout), h, seed)
+    ref_X = _c_ordered(X, layout)
+    new, ref = init_projection(X, h, seed), reference_init_projection(ref_X, h, seed)
     assert _same(new.weights, ref.weights)
     assert _same(new.thresholds, ref.thresholds)
+    assert _same(apply_projection(new, X), reference_apply_projection(ref, ref_X))
+    probe = _matrix(n + 3, d, kind, seed + 1, probe_layout)
+    ref_probe = _c_ordered(probe, probe_layout)
+    assert _same(apply_projection(new, probe), reference_apply_projection(ref, ref_probe))
+    assert _same(apply_projection(new, probe[1:2]),
+                 reference_apply_projection(ref, ref_probe[1:2]))
 
 
 @settings(max_examples=300, deadline=None)

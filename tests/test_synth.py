@@ -76,6 +76,10 @@ class TestCascadeConstruction:
         with pytest.raises(ValueError):
             init_cascade(np.empty((0, 3)), 2, seed=0)
 
+    def test_negative_width_rejected(self, train_X):
+        with pytest.raises(ValueError, match="^H must be >= 0$"):
+            init_cascade(train_X, -1, seed=0)
+
     def test_mask_sparsity(self):
         # ~10% of weights should be masked to exactly zero.
         X = np.random.default_rng(1).normal(size=(30, 100))
@@ -177,6 +181,24 @@ class TestProjection:
         probe = np.random.default_rng(5).normal(size=(8, 4))
         assert np.array_equal(apply_projection(proj, probe), apply_projection(clone, probe))
 
+    def test_documented_draw_order(self, train_X):
+        """The cascade's per-unit draws over the features alone reproduce the
+        projection and its training bits."""
+        H, seed = 5, 13
+        proj = init_projection(train_X, H, seed)
+        rng = np.random.default_rng(seed)
+        bits = np.zeros((train_X.shape[0], H), dtype=np.int64)
+        for k in range(H):
+            row = rng.normal(0.0, WEIGHT_STD, size=train_X.shape[1])
+            row = row * (rng.random(train_X.shape[1]) < KEEP_PROB)
+            a = train_X @ row
+            t = a.mean() + THRESHOLD_NOISE * a.std() * rng.standard_normal()
+            assert np.array_equal(row, proj.weights[k])
+            assert t == proj.thresholds[k]
+            bits[:, k] = a > t
+        # The z bits used during construction match a fresh evaluation.
+        assert np.array_equal(bits, apply_projection(proj, train_X))
+
     def test_empty_projection_json_round_trip(self, train_X):
         proj = init_projection(train_X, 0, seed=2)
         clone = _round_trip(proj)
@@ -222,6 +244,14 @@ class TestSampleIndicators:
         Y = np.zeros((5, 3), dtype=int)
         with pytest.raises(ValueError):
             sample_indicators(Y, 2, 4, seed=0)
+
+    @pytest.mark.parametrize("Y, n_nodes, message", [
+        (np.zeros(3, dtype=int), 2, "train_Y must be a nonempty 2-D matrix"),
+        (np.zeros((5, 3), dtype=int), -1, "n_nodes must be >= 0"),
+    ])
+    def test_bad_labels_or_node_count_rejected(self, Y, n_nodes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_indicators(Y, n_nodes, 1, seed=0)
 
     def test_all_zero_rows_force_code_zero(self):
         Y = np.zeros((8, 4), dtype=int)
