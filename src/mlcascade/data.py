@@ -154,7 +154,13 @@ def gen_synthetic(spec: SynthNetSpec) -> Dataset:
     U = rng.standard_normal((spec.L, hidden.shape[1]))
     scores = hidden @ U.T
     del hidden
-    tau = np.median(scores, axis=0)
+    # The median of each column, (lo + hi) / 2 of its two middle values (one
+    # value twice for odd N), as np.median takes it but without importing
+    # numpy.ma; at most the sign of a zero threshold differs, so the labels
+    # do not.
+    N = scores.shape[0]
+    middle = np.partition(scores, [(N - 1) // 2, N // 2], axis=0)
+    tau = (middle[(N - 1) // 2] + middle[N // 2]) / 2
     Y = (scores > tau).astype(np.int64)
     return Dataset(X, Y)
 

@@ -54,7 +54,8 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(-values, kind="stable")
     ranks = np.empty(len(values))
     ranks[order] = np.arange(1, len(values) + 1)
-    for v in np.unique(values):
+    # A set, not np.unique, which imports numpy.ma (~1.3 MB).
+    for v in set(values.tolist()):
         tied = values == v
         if tied.sum() > 1:
             ranks[tied] = ranks[tied].mean()

@@ -74,9 +74,9 @@ def sigmoid(a):
     return 1.0 / (1.0 + np.exp(-_clamp(a)))
 
 
-def _clamp(a, lo=-ACTIVATION_CLAMP, hi=ACTIVATION_CLAMP, out=None):
-    """np.clip(a, lo, hi) without np.clip's Python wrapper, which costs ~4 us a call."""
-    return np.minimum(np.maximum(a, lo, out=out), hi, out=out)
+def _clamp(a):
+    """np.clip(a, -35, 35) without np.clip's Python wrapper, which costs ~4 us a call."""
+    return np.minimum(np.maximum(a, -ACTIVATION_CLAMP), ACTIVATION_CLAMP)
 
 
 def as_rows(x, dim: int, dtype=float) -> np.ndarray:
@@ -178,40 +178,45 @@ def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = No
     t = np.empty(n)
     g = np.empty(d)
     r = np.empty(d)
-    # A ufunc call costs ~0.2 us less with a same-shape array operand than
-    # with a Python scalar.
+    # A ufunc call costs ~0.2 us less with an array operand than with a Python
+    # scalar: the constants are same-shape arrays, and the bias is also held
+    # in the 0-d array bias (set from b after each update).
     ones, lo, hi = np.ones(n), np.full(n, -ACTIVATION_CLAMP), np.full(n, ACTIVATION_CLAMP)
     n_d, l2_d, lr_d = np.full(d, float(n)), np.full(d, l2), np.full(d, lr)
-    # Local names save a module attribute lookup per call.  np.dot skips
-    # matmul's dispatch (~1.2 us a call) and makes the same BLAS call on the
-    # C-contiguous X that _check_xy returns.
-    dot, subtract, add, multiply, divide, exp = (np.dot, np.subtract, np.add, np.multiply,
-                                                 np.divide, np.exp)
-    total = np.add.reduce
-    XT = X.T
+    bias, err_sum = np.zeros(()), np.zeros(())
+    # Local names save a module attribute lookup per call.  The bound X.dot and
+    # X.T.dot make np.dot's BLAS call on the C-contiguous X that _check_xy
+    # returns, without np.dot's __array_function__ dispatch (~0.15 us a call);
+    # np.add.reduce is the pairwise sum err.mean() takes, without its wrapper.
+    Xdot, XTdot = X.dot, X.T.dot
+    subtract, add, multiply, divide, exp = np.subtract, np.add, np.multiply, np.divide, np.exp
+    maximum, minimum, total = np.maximum, np.minimum, np.add.reduce
     with np.errstate(all="ignore"):
         for epoch in range(1, config.epochs + 1):
-            dot(X, nw, t)
-            subtract(t, b, t)
-            _clamp(t, lo, hi, t)
+            Xdot(nw, t)
+            subtract(t, bias, t)
+            # sigmoid's clamp; np.maximum and np.minimum warn on a positional out.
+            maximum(t, lo, out=t)
+            minimum(t, hi, out=t)
             exp(t, t)
             add(t, ones, t)
             divide(ones, t, t)
             subtract(t, y, t)  # err
-            dot(XT, t, g)
+            XTdot(t, g)
             divide(g, n_d, g)
             multiply(nw, l2_d, r)  # -(l2 * w)
             subtract(g, r, g)
             multiply(g, lr_d, g)
             add(nw, g, nw)
-            # total is np.add.reduce, the pairwise sum err.mean() takes, without its wrapper.
-            b -= lr * (float(total(t)) / n)
+            total(t, 0, None, err_sum)
+            b -= lr * (float(err_sum) / n)
             if not math.isfinite(b):
                 raise ValueError(
                     f"training diverged at epoch {epoch} of {config.epochs}: the bias is "
                     f"{b} (learning_rate={lr!r}, data shape n={n}, d={d}); "
                     "try a smaller learning rate"
                 )
+            bias[()] = b
     # 0.0 - nw, not -nw: a weight the plain loop leaves at zero is +0.0, never
     # -0.0, and nw holds +0.0 for it.
     return LinearModel(weights=np.concatenate(([b], 0.0 - nw)))

@@ -208,7 +208,8 @@ def sample_indicators(
     entries = []
     for _ in range(n_nodes):
         s = np.sort(rng.choice(L, size=subset_size, replace=False))
-        observed = np.unique(train_Y[:, s] @ powers)
+        # The sorted codes np.unique would give, without importing numpy.ma.
+        observed = sorted(set((train_Y[:, s] @ powers).tolist()))
         entries.append((tuple(int(i) for i in s), int(rng.choice(observed))))
     return LabelIndicatorSet(n_labels=L, seed=seed, entries=entries)
 

@@ -145,3 +145,42 @@ def test_worse_by_follows_the_metric_direction():
     assert ab_bench.worse_by(2.0, 1.0, "higher") == 0.5
     assert ab_bench.worse_by(0.0, 1.0, "lower") == float("inf")
     assert ab_bench.worse_by(0.0, 0.0, "lower") == 0.0
+
+
+def _with_wall_clock(result, op_s, reference_s):
+    return {**result, "wall_clock": {"op_s.p50": op_s, "op_s.p90": op_s, "cells_per_s": 1.0,
+                                     "reference_s.p50": reference_s, "reference_samples": 5}}
+
+
+def test_wall_clock_rows_give_each_sides_quartiles_without_a_claim():
+    walls = [(1.0, 0.02, 0.8, 0.021), (2.0, 0.03, 1.8, 0.031), (3.0, 0.04, 2.8, 0.041)]
+    pairs = [{"parent": _with_wall_clock(_result(1.0, 100.0), p_op, p_ref),
+              "change": _with_wall_clock(_result(0.5, 100.0), c_op, c_ref)}
+             for p_op, p_ref, c_op, c_ref in walls]
+    lines = ab_bench.summarize(pairs, METRICS)
+    op = _row(lines, "wall op_s.p50")
+    assert "1.5 / 2 / 2.5" in op and "1.3 / 1.8 / 2.3" in op
+    ref = _row(lines, "wall reference_s.p50")
+    assert "0.025 / 0.03 / 0.035" in ref and "0.026 / 0.031 / 0.036" in ref
+    for row in (op, ref):
+        assert row.endswith("(wall clock, not rescaled; no claim)")
+        assert not any(t in row.split() for t in ("GAIN", "-", "WORSE", "unresolved"))
+    # They follow the metric rows, and the failed-ops line stays last.
+    assert lines.index(op) == 1 + len(METRICS) and lines.index(ref) == 2 + len(METRICS)
+    assert lines[-1].startswith("failed ops:")
+    # A run without them (a traced run, or an older benchmark) drops both rows.
+    del pairs[1]["change"]["wall_clock"]
+    assert not any(line.startswith("wall ") for line in ab_bench.summarize(pairs, METRICS))
+
+
+def test_run_bench_reads_the_wall_clock_line_before_the_result(tmp_path):
+    result = _result(1.0, 100.0)
+    wall = {"op_s.p50": 0.9, "reference_s.p50": 0.02}
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'env': {}}))\n"
+        "print('golden: 0 of 52 cells differ')\n"
+        f"print(json.dumps({{'wall_clock': {wall!r}}}))\n"
+        f"print(json.dumps({result!r}))\n", encoding="utf-8")
+    assert ab_bench.run_bench(tmp_path, "logical", 1, 1.0) == {**result, "wall_clock": wall}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -587,3 +590,22 @@ class TestUsage:
         assert main(["bench", "--no-such-flag"]) == 1
         assert main([]) == 1
         assert built == [1]
+
+
+def test_bench_and_gen_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs ~1.3 MB of memory in every process that imports it; it
+    # is imported by np.unique and np.median, which the package avoids.
+    script = f"""
+import sys
+from mlcascade.cli import main
+assert main(["bench", "--dataset", "logical", "--methods", "{','.join(METHOD_NAMES)}",
+             "--iters", "2", "--out", "reports"]) == 0
+assert main(["gen", "synthetic", "--hidden", "20", "--out", "gen.csv"]) == 0
+sys.exit("numpy.ma was imported" if "numpy.ma" in sys.modules else 0)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "gen.csv").exists()

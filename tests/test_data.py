@@ -327,6 +327,9 @@ class TestGenSynthetic:
     @example(3, 2, 1, 5, 0)
     @example(1, 1, 1, 0, 7)
     @example(4, 1, 200, 64, 3)
+    @example(2, 10, 2000, 100, 1)  # the benchmark's three draws
+    @example(2, 10, 2000, 0, 1)
+    @example(10, 10, 7000, 100, 1)
     def test_matches_reference(self, D, L, N, hidden, seed):
         spec = SynthNetSpec(D=D, L=L, N=N, hidden_units=hidden, seed=seed)
         got, want = gen_synthetic(spec), reference_gen_synthetic(spec)

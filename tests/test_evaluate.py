@@ -116,6 +116,20 @@ class TestRanks:
     def test_all_tied(self):
         assert np.array_equal(average_ranks(np.array([0.3, 0.3, 0.3])), [2, 2, 2])
 
+    def test_matches_the_np_unique_loop(self):
+        # Rounded scores tie often, -0.0 and 0.0 included.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            values = np.round(rng.normal(size=int(rng.integers(1, 12))), 1) * 0.5
+            values[rng.random(len(values)) < 0.2] *= -0.0
+            order = np.argsort(-values, kind="stable")
+            want = np.empty(len(values))
+            want[order] = np.arange(1, len(values) + 1)
+            for v in np.unique(values):
+                tied = values == v
+                want[tied] = want[tied].mean()
+            assert average_ranks(values).tobytes() == want.tobytes()
+
 
 class TestEquivalenceOracle:
     def test_single_label_always_true(self):

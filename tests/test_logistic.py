@@ -47,7 +47,8 @@ def assert_same_bits(got, want):
 
 @st.composite
 def fit_problems(draw):
-    n = draw(st.integers(1, 60))
+    # Past 128 rows the bias sum's pairwise recursion splits the error vector.
+    n = draw(st.integers(1, 60) | st.integers(61, 300))
     d = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # Twice the columns, so a strided view of them is one of the layouts.
@@ -245,6 +246,19 @@ class TestBitExactness:
         # The fit reads a C-contiguous copy of X, whatever X's layout.
         assert_same_bits(train_logistic(X, y, config).weights,
                          reference_fit(np.ascontiguousarray(X), y, config))
+
+    def test_activations_past_both_clamp_bounds(self):
+        # Features scaled x50 and a step of 5 push activations past +35 and
+        # -35 within the first epochs, where the fit's clamp decides the bits.
+        rng = np.random.default_rng(8)
+        X = 50.0 * rng.normal(size=(40, 3))
+        y = (X[:, 0] + 20.0 * rng.normal(size=40) > 0).astype(float)
+        config = TrainConfig(learning_rate=5.0, epochs=30)
+        for epochs in (1, 2):
+            w = reference_fit(X, y, TrainConfig(5.0, epochs))
+            a = w[0] + X @ w[1:]
+            assert a.max() > 35.0 and a.min() < -35.0
+        assert_same_bits(train_logistic(X, y, config).weights, reference_fit(X, y, config))
 
     def test_large_problem(self):
         rng = np.random.default_rng(6)

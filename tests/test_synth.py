@@ -281,6 +281,23 @@ class TestSampleIndicators:
         for s, _ in ind.entries:
             assert list(s) == sorted(set(s))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_draws_the_entries_of_the_np_unique_loop(self, seed):
+        # The codes are drawn from the sorted observed codes, as np.unique
+        # gives them; one row pattern repeated keeps some subsets to one code.
+        rng = np.random.default_rng(seed)
+        Y = rng.integers(0, 2, size=(int(rng.integers(1, 40)), int(rng.integers(1, 9))))
+        Y[:len(Y) // 2] = Y[0]
+        L = Y.shape[1]
+        for subset_size in {1, (L + 1) // 2, L}:
+            want, draws = [], np.random.default_rng(seed)
+            powers = 1 << np.arange(subset_size - 1, -1, -1)
+            for _ in range(12):
+                s = np.sort(draws.choice(L, size=subset_size, replace=False))
+                code = draws.choice(np.unique(Y[:, s] @ powers))
+                want.append((tuple(int(i) for i in s), int(code)))
+            assert sample_indicators(Y, 12, subset_size, seed=seed).entries == want
+
 
 class TestApplyIndicators:
     def test_specific_pattern_fires(self):

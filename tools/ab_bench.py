@@ -25,8 +25,11 @@ interquartile range, and the change failed no larger a share of its ops
 than the parent, the rule a claimed gain must meet; else it reads "-".
 It also gives each side's failed and attempted op counts, and a failed-ops
 line that reads WORSE when the change failed a larger share of its ops than
-the parent.  Nothing is written to either checkout beyond what the benchmark
-itself writes.
+the parent.  Under the metric rows, two informational rows give each side's
+quartiles of the wall-clock op_s.p50 and reference_s.p50 that bench/run.py
+prints before its result on untraced runs, so a gain in the rescaled op time
+can be read against wall time.  Nothing is written to either checkout beyond
+what the benchmark itself writes.
 """
 
 import argparse
@@ -39,6 +42,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WALL_CLOCK = ("op_s.p50", "reference_s.p50")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -50,7 +54,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"ab_bench: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    for line in lines[:-1]:
+        if line.startswith('{"wall_clock"'):
+            result.update(json.loads(line))
+    return result
 
 
 def loss(parent: float, change: float, better: str) -> float:
@@ -104,12 +112,30 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
         lines.append(f"{name:<14} {shown['parent']:>34} {shown['change']:>34} "
                      f"{wins['parent']:>4}:{wins['change']:<3}  {'GAIN' if gain else '-':<5}  "
                      f"{verdict}")
+    lines.extend(wall_clock_rows(pairs))
     for side in SIDES:
         correct = sum(bool(p[side]["correct"]) for p in pairs)
         lines.append(f"{side}: {ops[side][0]}/{ops[side][1]} ops failed, "
                      f"{correct}/{len(pairs)} runs correct")
     lines.append(f"failed ops: parent {share['parent']:.2%}, change {share['change']:.2%}  "
                  f"{'WORSE' if more_failed else 'not worse'}")
+    return lines
+
+
+def wall_clock_rows(pairs: list[dict]) -> list[str]:
+    """Each side's quartiles of the wall-clock times that bench/run.py prints
+    beside its result on untraced runs: the op time before rescaling by the
+    reference loop, and the reference loop's own time.  They are for reading
+    a rescaled gain against wall time, so they carry no claim or verdict;
+    none is given unless every run has them."""
+    if not all("wall_clock" in p[side] for p in pairs for side in SIDES):
+        return []
+    lines = []
+    for key in WALL_CLOCK:
+        shown = {side: " / ".join(f"{v:.4g}" for v in np.percentile(
+            [p[side]["wall_clock"][key] for p in pairs], [25, 50, 75])) for side in SIDES}
+        lines.append(f"{'wall ' + key:<14} {shown['parent']:>34} {shown['change']:>34}"
+                     "  (wall clock, not rescaled; no claim)")
     return lines
 
 
