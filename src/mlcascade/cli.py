@@ -47,10 +47,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; this project reserves 2 for data errors.
     def error(self, message: str):
@@ -137,14 +133,22 @@ def _load_dataset(args) -> tuple[str, Dataset]:
     return path.stem, _read_csv(path, args, "dataset")
 
 
+def _read(what: str, path, load, *args):
+    """load(path, *args), where a file that cannot be read (a missing file, a
+    directory) is a data error naming it."""
+    try:
+        return load(path, *args)
+    except FileNotFoundError:
+        raise ValueError(f"{what} file not found: {path}") from None
+    except OSError as e:
+        raise ValueError(f"cannot read {what} file {path}: {e.strerror}") from None
+
+
 def _read_csv(path: Path, args, what: str) -> Dataset:
     """The CSV file at path read with the --label-count and --labels-first flags."""
     if args.label_count < 0:
         raise UsageError(f"--label-count must be >= 0, got {args.label_count}")
-    try:
-        return load_csv(path, args.label_count, labels_last=not args.labels_first)
-    except FileNotFoundError:
-        raise DataError(f"{what} file not found: {path}") from None
+    return _read(what, path, load_csv, args.label_count, not args.labels_first)
 
 
 def cmd_gen(args) -> int:
@@ -204,8 +208,6 @@ def cmd_train(args) -> int:
         raise UsageError(
             f"unknown method {args.method!r}; expected one of {', '.join(METHOD_NAMES)}"
         )
-    if dataset.n_labels == 0:
-        raise DataError("training data has no label columns")
     params = None
     if not args.no_standardize:
         params = fit_standardizer(dataset)
@@ -224,20 +226,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        model, meta = load_model(args.model)
-    except FileNotFoundError:
-        raise DataError(f"model file not found: {args.model}") from None
+    model, meta = _read("model", args.model, load_model)
     data = _read_csv(Path(args.data), args, "data")
     if data.n_features != model.input_dim:
-        raise DataError(
+        raise ValueError(
             f"model expects {model.input_dim} features but data has {data.n_features}"
         )
     trained_names = meta.get("feature_names")
     if trained_names is not None and data.feature_names != trained_names:
         j = next(j for j, (got, want) in enumerate(zip(data.feature_names, trained_names))
                  if got != want)
-        raise DataError(
+        raise ValueError(
             f"feature column {j + 1} of {args.data} is {data.feature_names[j]!r}, "
             f"but the model was trained on {trained_names[j]!r} there"
         )
@@ -358,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"mlcascade: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"mlcascade: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MethodFailure as e:

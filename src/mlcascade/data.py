@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,24 +189,33 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
 
     A valid file of plain ASCII is parsed in C by _load_plain_csv; any other
     file, and every file with an error, goes through csv.reader and float().
+    A file that is not UTF-8, or that csv.reader rejects (a cell over its
+    field size limit), is a CsvFormatError naming the line.
     """
     if label_count < 0:
         raise ValueError("label_count must be >= 0")
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        dataset = _load_plain_csv(path, label_count, labels_last)
+        dataset = _load_plain_csv(raw, label_count, labels_last)
     except Exception:
         # Whatever stops the C parse, the path below gives the result or the
         # error (its class and message) that this file has always had.
         dataset = None
     if dataset is not None:
         return dataset
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
+    try:
+        # newline="" splits lines as open(path, newline="") does for csv.reader.
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        header = next(reader)
         rows = list(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file") from None
+    except UnicodeDecodeError as e:
+        # The line of the first byte that is not UTF-8, counted as csv.reader counts.
+        raise CsvFormatError(f"{path}: line {len(raw[: e.start + 1].splitlines())}: {e}") from None
+    except csv.Error as e:
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     width = len(header)
@@ -268,9 +278,10 @@ def _column_ranges(width: int, label_count: int, labels_last: bool) -> tuple[ran
 _PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
 
 
-def _load_plain_csv(path: str | Path, label_count: int, labels_last: bool) -> Dataset | None:
-    """What load_csv's csv.reader and float() path gives for path, parsed in
-    C by np.loadtxt; None for a file that path must read.
+def _load_plain_csv(raw: bytes, label_count: int, labels_last: bool) -> Dataset | None:
+    """What load_csv's csv.reader and float() path gives for the file bytes
+    raw, parsed in C by np.loadtxt; None for a file that the csv.reader path
+    must read.
 
     np.loadtxt converts each cell with PyOS_string_to_double, the routine
     float() calls; on plain ASCII they differ only in float()'s underscores,
@@ -279,8 +290,6 @@ def _load_plain_csv(path: str | Path, label_count: int, labels_last: bool) -> Da
     row, 0/1 labels and finite features gives the same bits either way; any
     other file gets None, and its result or error from the csv.reader path.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     if raw.translate(None, _PLAIN_BYTES):
         return None
     # On these bytes splitlines ends lines at \r\n, \r and \n only, as csv.reader does.

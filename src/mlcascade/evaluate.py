@@ -31,7 +31,7 @@ def _check_pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    if y_true.ndim != 2 or y_true.shape[0] == 0:
+    if y_true.ndim != 2 or 0 in y_true.shape:
         raise ValueError("prediction sets must be nonempty 2-D matrices")
     return y_true, y_pred
 

@@ -142,7 +142,7 @@ def cross_entropy_grad(model: LinearModel, X: np.ndarray, y: np.ndarray) -> np.n
     return np.concatenate(([err.sum()], X.T @ err))
 
 
-def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = None) -> LinearModel:
+def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig = TrainConfig()) -> LinearModel:
     """Fit a logistic model by full-batch gradient descent from zero weights.
 
     Each epoch computes, in this floating-point order,
@@ -161,8 +161,6 @@ def train_logistic(X: np.ndarray, y: np.ndarray, config: TrainConfig | None = No
     reaches is clamped; a fit that still ends with a non-finite weight fails
     in LinearModel.
     """
-    if config is None:
-        config = TrainConfig()
     X, y = _check_xy(X, y)
     n, d = X.shape
     lr = config.learning_rate

@@ -189,10 +189,9 @@ def _train_cascade_chain(dataset: Dataset, cfg: MethodConfig, H: int, extra: np.
     return cascade, train_cc(targets, None, cfg.base)
 
 
-def train_ccasl(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLModel:
+def train_ccasl(dataset: Dataset, cfg: MethodConfig = MethodConfig()) -> CCASLModel:
     """Fit the synthetic cascade on the training features, compute its bits for
     every training row, and train a chain over [bits, labels] in column order."""
-    cfg = cfg or MethodConfig()
     H = dataset.n_labels if cfg.synthetic_count is None else cfg.synthetic_count
     cascade, chain = _train_cascade_chain(dataset, cfg, H, dataset.Y, dataset.label_names)
     return CCASLModel(
@@ -203,13 +202,12 @@ def train_ccasl(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLModel
     )
 
 
-def train_ccasl_br(dataset: Dataset, cfg: MethodConfig | None = None) -> StackedModel:
+def train_ccasl_br(dataset: Dataset, cfg: MethodConfig = MethodConfig()) -> StackedModel:
     """ccasl first, then a meta binary-relevance layer on [x, its training predictions]."""
-    cfg = cfg or MethodConfig()
     return train_stack(dataset, lambda ds: train_ccasl(ds, cfg), cfg.base)
 
 
-def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLAMLModel:
+def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig = MethodConfig()) -> CCASLAMLModel:
     """Chain the cascade bits and label-subset indicator bits as a middle layer,
     then fit an independent output model per label on [x, predicted middle bits].
 
@@ -217,7 +215,6 @@ def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLA
     fit on the middle chain's own greedy training-set predictions so it sees
     the bits it will receive at test time.
     """
-    cfg = cfg or MethodConfig()
     L = dataset.n_labels
     H = L if cfg.synthetic_count is None else cfg.synthetic_count
     Hp = 2 * L if cfg.indicator_count is None else cfg.indicator_count
@@ -234,9 +231,8 @@ def train_ccasl_aml(dataset: Dataset, cfg: MethodConfig | None = None) -> CCASLA
     )
 
 
-def train_elm_br(dataset: Dataset, cfg: MethodConfig | None = None) -> ELMBRModel:
+def train_elm_br(dataset: Dataset, cfg: MethodConfig = MethodConfig()) -> ELMBRModel:
     """Fixed random projection of the features, then binary relevance on [x, bits]."""
-    cfg = cfg or MethodConfig()
     H = 2 * dataset.n_labels if cfg.synthetic_count is None else cfg.synthetic_count
     projection = init_projection(dataset.X, H, cfg.seed)
     br = train_br_over(dataset, apply_projection(projection, dataset.X), cfg.base)
@@ -253,11 +249,16 @@ _TRAINERS = {
 }
 
 
-def train_method(name: str, dataset: Dataset, cfg: MethodConfig | None = None):
-    """Train any method by name; see METHOD_NAMES for the valid names."""
+def train_method(name: str, dataset: Dataset, cfg: MethodConfig = MethodConfig()):
+    """Train any method by name; see METHOD_NAMES for the valid names.
+
+    Raises ValueError for an unknown name, and for a dataset with no label
+    columns: every method learns its labels as nodes, so it has nothing to fit."""
     if name not in _TRAINERS:
         raise ValueError(f"unknown method {name!r}; expected one of {', '.join(METHOD_NAMES)}")
-    return _TRAINERS[name](dataset, cfg or MethodConfig())
+    if dataset.n_labels == 0:
+        raise ValueError("training data has no label columns")
+    return _TRAINERS[name](dataset, cfg)
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -423,10 +424,11 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     number-list entry of the wrong type, of a list field that is not a list,
     of a "models" field that is not a list of objects, of a model part that
     fails its own checks (its arrays do not fit together, or hold an integer
-    too large for them) and of a metadata list that is not as long as the
-    model's inputs or labels.  The document is checked and built in one
-    walk, so the first of these errors in walk order is the one raised: the
-    metadata types, then the model, then the metadata lengths."""
+    too large for them), of a model that predicts no labels, and of a
+    metadata list that is not as long as the model's inputs or labels.  The
+    document is checked and built in one walk, so the first of these errors
+    in walk order is the one raised: the metadata types, then the model,
+    then the metadata lengths."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -443,6 +445,8 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
             if value is not None:
                 _check_type(value, f"$.{k}", *_FIELD_TYPES[k])
         model = model_from_dict(_field(doc, "$", "model"), "$.model")
+        if model.n_labels < 1:
+            raise ValueError("$.model: the model predicts no labels")
         _check_meta_lengths(meta, model)
         if meta["standardizer"] is not None:
             meta["standardizer"] = _build(StandardizationParams, meta["standardizer"],

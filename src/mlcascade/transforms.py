@@ -139,7 +139,7 @@ def check_sizes(*pairs: tuple[str, int, str, int]) -> None:
 
 
 def fit_layer(design: np.ndarray, targets: np.ndarray, widths: list[int], names: list[str],
-              config: TrainConfig | None = None) -> list[LinearModel]:
+              config: TrainConfig = TrainConfig()) -> list[LinearModel]:
     """Fit a layer of logistic units: unit j is train_logistic on the first
     widths[j] columns of design against targets[:, j].
 
@@ -158,7 +158,7 @@ def fit_layer(design: np.ndarray, targets: np.ndarray, widths: list[int], names:
     return models
 
 
-def train_br(dataset: Dataset, config: TrainConfig | None = None) -> BRModel:
+def train_br(dataset: Dataset, config: TrainConfig = TrainConfig()) -> BRModel:
     """Train one logistic model per label column, each on (X, Y[:, j])."""
     D = dataset.n_features
     names = [f"label {name!r}" for name in dataset.label_names]
@@ -169,7 +169,7 @@ def train_br(dataset: Dataset, config: TrainConfig | None = None) -> BRModel:
 def train_cc(
     dataset: Dataset,
     label_order: np.ndarray | list[int] | None = None,
-    config: TrainConfig | None = None,
+    config: TrainConfig = TrainConfig(),
 ) -> CCModel:
     """Train a classifier chain in the given label order (default: column order).
 
@@ -193,7 +193,7 @@ def train_cc(
 def train_stack(
     dataset: Dataset,
     first_layer_trainer: Callable[[Dataset], Any],
-    config: TrainConfig | None = None,
+    config: TrainConfig = TrainConfig(),
 ) -> StackedModel:
     """Train a first layer, then a meta BR on [x, its training-set predictions].
 
@@ -206,7 +206,7 @@ def train_stack(
     return StackedModel(first_layer=first, meta=meta, input_dim=dataset.n_features)
 
 
-def train_br_over(dataset: Dataset, bits: np.ndarray, config: TrainConfig | None = None) -> BRModel:
+def train_br_over(dataset: Dataset, bits: np.ndarray, config: TrainConfig = TrainConfig()) -> BRModel:
     """Binary relevance over [x, bits], as in the layer that stacking, elm and
     the AML output put over extra bits."""
     wide = Dataset(np.hstack([dataset.X, bits.astype(float)]), dataset.Y,

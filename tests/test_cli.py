@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from mlcascade import cli
 from mlcascade.cli import main
-from mlcascade.data import apply_standardizer, fit_standardizer, gen_logical, load_csv, save_csv
+from mlcascade.data import (Dataset, apply_standardizer, fit_standardizer, gen_logical,
+                            load_csv, save_csv)
 from mlcascade.methods import METHOD_NAMES, MethodConfig, train_method
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -95,6 +96,19 @@ class TestBench:
         assert code == 3
         assert capsys.readouterr().err == ("mlcascade: method 'br' failed on dataset "
                                            "'logical', iteration 0: boom\n")
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_csv_without_label_columns_is_data_error(self, tmp_path, capsys, method):
+        data = tmp_path / "nolab.csv"
+        save_csv(Dataset(gen_logical(20).X, np.zeros((20, 0), dtype=np.int64)), data)
+        out = tmp_path / "reports"
+        code = main(["bench", "--dataset", str(data), "--label-count", "0", "--methods", method,
+                     "--iters", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"mlcascade: data error: method {method!r} failed on dataset 'nolab', iteration 0: "
+            "training data has no label columns\n")
+        assert not out.exists()
 
     def test_unknown_method_is_usage_error(self, tmp_path):
         code = main(["bench", "--dataset", "logical", "--methods", "svm",
@@ -393,6 +407,17 @@ class TestTrainPredict:
          "$.standardizer: int too large to convert to float"),
         (lambda d: d["standardizer"].update(std=-1),
          "field $.standardizer.std must be a list, got -1"),
+        # Models that predict no labels, with no label names to count them by.
+        (lambda d: d.update(label_names=None) or d["model"].update(models=[]),
+         "$.model: the model predicts no labels"),
+        (lambda d: d.update(label_names=None, model={
+            "kind": "cc", "models": [], "label_order": [], "input_dim": 2}),
+         "$.model: the model predicts no labels"),
+        (lambda d: d.update(label_names=None, model={
+            "kind": "ccasl", "n_labels": -1, "cascade_at_test": False,
+            "cascade": {"D": 2, "H": 1, "seed": 0, "weights": [[1.0, -1.0]], "thresholds": [0.0]},
+            "chain": {"models": [], "label_order": [], "input_dim": 2}}),
+         "$.model: the model predicts no labels"),
     ])
     def test_malformed_metadata_is_data_error(self, tmp_path, logical_csv, br_doc, capsys,
                                               edit, message):
@@ -483,6 +508,36 @@ class TestTrainPredict:
                      "--label-count", label_count, "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr().err == f"mlcascade: data error: {data}: {message}\n"
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("argv, bad, message", [
+        ("bench --dataset {bad} --methods br", "dir",
+         "cannot read dataset file {bad}: Is a directory"),
+        ("train --dataset {bad} --method br", "dir",
+         "cannot read dataset file {bad}: Is a directory"),
+        ("predict --model {model} --data {bad}", "dir",
+         "cannot read data file {bad}: Is a directory"),
+        ("predict --model {bad} --data {data}", "dir",
+         "cannot read model file {bad}: Is a directory"),
+        ("bench --dataset {bad} --methods br", "latin-1", "{bad}: line 3: 'utf-8' codec can't "
+         "decode byte 0xe9 in position 19: invalid continuation byte"),
+        ("predict --model {model} --data {bad}", "long-cell",
+         "{bad}: line 2: field larger than field limit (131072)"),
+    ], ids=["bench-dir", "train-dir", "data-dir", "model-dir", "latin-1", "long-cell"])
+    def test_unreadable_input_file_is_data_error(self, tmp_path, logical_csv, capsys,
+                                                 argv, bad, message):
+        path = tmp_path / "bad.csv"
+        if bad == "dir":
+            path.mkdir()
+        elif bad == "latin-1":
+            path.write_bytes(b"x1,x2,or\n0.5,0.5,1\n\xe9,0.5,0\n")
+        else:
+            path.write_text("x1,x2,or\n" + "0" * 131072 + "1,0.5,1\n")
+        names = dict(bad=path, model=DATA / "br.json", data=logical_csv)
+        out = tmp_path / "out"
+        assert main([*(a.format(**names) for a in argv.split()),
+                     "--label-count", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"mlcascade: data error: {message.format(**names)}\n"
+        assert not out.exists()
 
     def test_missing_model_field_is_data_error(self, tmp_path, logical_csv,
                                                model_doc, capsys):

@@ -458,8 +458,20 @@ class TestCsv:
         p.write_text("a,b\n" + "0" * csv.field_size_limit() + "1,1\n")
         with pytest.raises(csv.Error, match="field larger than field limit"):
             reference_load_csv(p, label_count=1)
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(CsvFormatError) as caught:
             load_csv(p, label_count=1)
+        assert str(caught.value) == (f"{p}: line 2: field larger than field limit "
+                                     f"({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r", b"\r\n"])
+    def test_file_that_is_not_utf8_names_the_line(self, tmp_path, line_end):
+        p = tmp_path / "d.csv"
+        p.write_bytes(line_end.join([b"a,b", b"0.5,1", b"\xe9,0", b""]))
+        with pytest.raises(CsvFormatError) as caught:
+            load_csv(p, label_count=1)
+        at = 8 + 2 * len(line_end)
+        assert str(caught.value) == (f"{p}: line 3: 'utf-8' codec can't decode byte 0xe9 "
+                                     f"in position {at}: invalid continuation byte")
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 3),

@@ -66,7 +66,7 @@ class TestMetrics:
             hamming_score(np.zeros((2, 2)), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("metric", [exact_match, hamming_score])
-    @pytest.mark.parametrize("Y", [np.zeros(3), np.zeros((0, 2))])
+    @pytest.mark.parametrize("Y", [np.zeros(3), np.zeros((0, 2)), np.zeros((3, 0))])
     def test_one_d_or_empty_input_rejected(self, metric, Y):
         with pytest.raises(ValueError, match="^prediction sets must be nonempty 2-D matrices$"):
             metric(Y, Y)

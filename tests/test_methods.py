@@ -186,6 +186,12 @@ class TestUniformContract:
             train_method("mlp", small_random)
 
     @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_dataset_without_labels_rejected(self, name, small_random):
+        unlabeled = Dataset(small_random.X, small_random.Y[:, :0])
+        with pytest.raises(ValueError, match="^training data has no label columns$"):
+            train_method(name, unlabeled)
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_json_round_trip_predicts_identically(self, name, small_random, tmp_path):
         model = train_method(name, small_random, MethodConfig(seed=12))
         path = tmp_path / f"{name.replace('+', '_')}.json"
