@@ -163,13 +163,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _method(name: str) -> str:
+    """name, where a name that is not a method is a usage error."""
+    if name not in METHOD_NAMES:
+        raise UsageError(f"unknown method {name!r}; expected one of {', '.join(METHOD_NAMES)}")
+    return name
+
+
 def _parse_methods(raw: str) -> list[str]:
-    names = [m.strip() for m in raw.split(",") if m.strip()]
+    names = [_method(m.strip()) for m in raw.split(",") if m.strip()]
     if not names:
         raise UsageError("--methods must list at least one method")
-    for m in names:
-        if m not in METHOD_NAMES:
-            raise UsageError(f"unknown method {m!r}; expected one of {', '.join(METHOD_NAMES)}")
     return names
 
 
@@ -204,10 +208,7 @@ def cmd_bench(args) -> int:
 
 def cmd_train(args) -> int:
     _, dataset = _load_dataset(args)
-    if args.method not in METHOD_NAMES:
-        raise UsageError(
-            f"unknown method {args.method!r}; expected one of {', '.join(METHOD_NAMES)}"
-        )
+    _method(args.method)
     params = None
     if not args.no_standardize:
         params = fit_standardizer(dataset)
@@ -357,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"mlcascade: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as e:
+    except ValueError as e:
         print(f"mlcascade: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MethodFailure as e:

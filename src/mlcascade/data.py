@@ -74,8 +74,9 @@ class Dataset:
 class StandardizationParams:
     """Per-feature mean and standard deviation fitted on a training split.
 
-    Every mean must be finite and every std finite and at least STD_FLOOR,
-    the floor fit_standardizer puts under a constant column's zero std."""
+    mean and std are 1-D and of one length.  Every mean must be finite and
+    every std finite and at least STD_FLOOR, the floor fit_standardizer puts
+    under a constant column's zero std."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -85,6 +86,9 @@ class StandardizationParams:
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float)
         self.std = np.asarray(self.std, dtype=float)
+        if self.mean.ndim != 1 or self.mean.shape != self.std.shape:
+            raise ValueError(f"mean and std must be 1-D and of one length, got shapes "
+                             f"{self.mean.shape} and {self.std.shape}")
         for j, (m, s) in enumerate(zip(self.mean.flat, self.std.flat)):
             if not np.isfinite(m):
                 raise ValueError(f"mean[{j}] must be finite, got {m}")
@@ -187,23 +191,22 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
     labels_last is False) and must parse to exactly 0 or 1.  Every cell is
     read as Python's float() reads it; feature cells must be finite.
 
-    A valid file of plain ASCII is parsed in C by _load_plain_csv; any other
-    file, and every file with an error, goes through csv.reader and float().
-    A file that is not UTF-8, or that csv.reader rejects (a cell over its
-    field size limit), is a CsvFormatError naming the line.
+    A file of plain ASCII is first parsed in C by _load_plain_csv; a file
+    that it raises on, every file with an error included, goes through
+    csv.reader and float().  A file that is not UTF-8, or that csv.reader
+    rejects (a cell over its field size limit), is a CsvFormatError naming
+    the line.
     """
     if label_count < 0:
         raise ValueError("label_count must be >= 0")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        dataset = _load_plain_csv(raw, label_count, labels_last)
+        return _load_plain_csv(raw, label_count, labels_last)
     except Exception:
         # Whatever stops the C parse, the path below gives the result or the
         # error (its class and message) that this file has always had.
-        dataset = None
-    if dataset is not None:
-        return dataset
+        pass
     try:
         # newline="" splits lines as open(path, newline="") does for csv.reader.
         reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
@@ -278,40 +281,37 @@ def _column_ranges(width: int, label_count: int, labels_last: bool) -> tuple[ran
 _PLAIN_BYTES = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
 
 
-def _load_plain_csv(raw: bytes, label_count: int, labels_last: bool) -> Dataset | None:
+def _load_plain_csv(raw: bytes, label_count: int, labels_last: bool) -> Dataset:
     """What load_csv's csv.reader and float() path gives for the file bytes
-    raw, parsed in C by np.loadtxt; None for a file that the csv.reader path
-    must read.
+    raw, parsed in C by np.loadtxt; an exception for a file that the
+    csv.reader path must read.
 
     np.loadtxt converts each cell with PyOS_string_to_double, the routine
     float() calls; on plain ASCII they differ only in float()'s underscores,
     which np.loadtxt rejects.  So a file of _PLAIN_BYTES with a data row, no
-    empty line, no line over csv's field size limit, width numbers in every
-    row, 0/1 labels and finite features gives the same bits either way; any
-    other file gets None, and its result or error from the csv.reader path.
+    empty line, no line over csv's field size limit and width numbers in
+    every row gives the same cells either way.  Dataset then judges them as
+    the csv.reader path does: it raises for a label other than 0 or 1, a
+    feature that is not finite and a table with no feature column, which a
+    label_count of the width or more leaves, unless take has raised
+    IndexError first for a label column past the table.
     """
     if raw.translate(None, _PLAIN_BYTES):
-        return None
+        raise ValueError("not plain ASCII")
     # On these bytes splitlines ends lines at \r\n, \r and \n only, as csv.reader does.
     lines = raw.decode("ascii").splitlines()
+    # np.loadtxt skips an empty line, and warns on a file with no data row.
     if len(lines) < 2 or not all(lines) or max(map(len, lines)) > csv.field_size_limit():
-        return None
+        raise ValueError("not a plain CSV table")
     names = lines[0].split(",")
-    width = len(names)
-    if label_count > width:
-        return None
     cells = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None, ndmin=2,
                        dtype=float)
-    if cells.shape != (len(lines) - 1, width):
-        return None
-    feat_idx, lab_idx = _column_ranges(width, label_count, labels_last)
-    Y = cells.take(lab_idx, axis=1)
-    X = cells.take(feat_idx, axis=1)
-    if not (np.all((Y == 0) | (Y == 1)) and np.isfinite(X).all()):
-        return None
+    if cells.shape != (len(lines) - 1, len(names)):
+        raise ValueError(f"cells of shape {cells.shape}")
+    feat_idx, lab_idx = _column_ranges(len(names), label_count, labels_last)
     return Dataset(
-        X,
-        Y.astype(np.int64),
+        cells.take(feat_idx, axis=1),
+        cells.take(lab_idx, axis=1),
         [names[j] for j in feat_idx],
         [names[j] for j in lab_idx],
     )
@@ -324,6 +324,9 @@ def fit_standardizer(train: Dataset) -> StandardizationParams:
 
 
 def apply_standardizer(params: StandardizationParams, dataset: Dataset) -> Dataset:
+    if dataset.n_features != len(params.mean):
+        raise ValueError(f"the standardizer has {len(params.mean)} features but the dataset "
+                         f"has {dataset.n_features}")
     X = (dataset.X - params.mean) / params.std
     return Dataset(X, dataset.Y, list(dataset.feature_names), list(dataset.label_names))
 

@@ -147,11 +147,9 @@ class ExperimentReport:
         lines = []
         width = max(12, max((len(m) for m in self.method_names), default=0) + 2)
         name_w = max(10, max((len(d) for d in self.dataset_names), default=0) + 2)
-        for metric, means, ranks in (
-            ("exact match", self.exact_mean, self.exact_rank),
-            ("hamming score", self.hamming_mean, self.hamming_rank),
-        ):
-            lines.append(metric)
+        for metric, title in (("exact", "exact match"), ("hamming", "hamming score")):
+            means, ranks = self._tables(metric)
+            lines.append(title)
             header = "dataset".ljust(name_w) + "".join(m.rjust(width) for m in self.method_names)
             lines.append(header)
             for d, name in enumerate(self.dataset_names):

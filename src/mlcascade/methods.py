@@ -36,8 +36,6 @@ from .synth import (
 from .transforms import (BRModel, CCModel, StackedModel, check_sizes, train_br, train_br_over,
                          train_cc, train_stack)
 
-METHOD_NAMES = ("br", "cc", "ccasl", "ccasl+br", "ccasl+aml", "elm")
-
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -247,6 +245,7 @@ _TRAINERS = {
     "ccasl+aml": train_ccasl_aml,
     "elm": train_elm_br,
 }
+METHOD_NAMES = tuple(_TRAINERS)
 
 
 def train_method(name: str, dataset: Dataset, cfg: MethodConfig = MethodConfig()):

@@ -647,6 +647,24 @@ class TestUsage:
         assert built == [1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "logical"],
+    ["train", "--dataset", "logical", "--method", "br"],
+    ["predict", "--model", str(DATA / "br.json"), "--data", "{data}", "--label-count", "3"],
+])
+def test_output_in_a_missing_directory_is_internal_error(tmp_path, capsys, argv):
+    # Every input is read through cli._read, which names a missing file as a
+    # data error; an output that cannot be written is an internal error.
+    data = tmp_path / "logical.csv"
+    save_csv(gen_logical(20), data)
+    out = tmp_path / "missing" / "out"
+    code = main([a.format(data=data) for a in argv] + ["--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "mlcascade: internal error: FileNotFoundError: [Errno 2] No such file or directory: ")
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_bench_and_gen_never_import_numpy_ma(tmp_path):
     # numpy.ma costs ~1.3 MB of memory in every process that imports it; it
     # is imported by np.unique and np.median, which the package avoids.

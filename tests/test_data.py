@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,6 +14,7 @@ from mlcascade.data import (
     CsvFormatError,
     Dataset,
     NonBinaryLabelError,
+    StandardizationParams,
     SynthNetSpec,
     apply_standardizer,
     fit_standardizer,
@@ -425,6 +427,18 @@ class TestCsv:
     @example(("x1,y1\n0.5,1\n\n", 1, True))
     @example(("x1,y1\n0.5,1\n \t\n", 1, True))
     @example(("x1,y1\n0.5,1,\n", 1, True))
+    # Plain files that Dataset or numpy's take hands to the csv.reader path:
+    # labels other than 0 or 1, features that are not finite, and a
+    # label_count that leaves no feature column or reaches past the table.
+    @example(("x1,y1\n0.5,2\n", 1, True))
+    @example(("x1,y1\n0.5,0.5\n", 1, True))
+    @example(("x1,x2,y1\n0.5,nan,1\n", 1, True))
+    @example(("x1,x2,y1\ninf,0.5,1\n", 1, True))
+    @example(("y1,y2\n0,1\n", 2, True))
+    @example(("a,b\n1,0\n", 3, True))
+    @example(("a,b\n1,0\n", 4, True))
+    @example(("a,b\n1,0\n", 3, False))
+    @example(("a,b\n1,0\n", 4, False))
     def test_raw_text_matches_reference_loader(self, table):
         text, label_count, labels_last = table
         with tempfile.TemporaryDirectory() as tmp:
@@ -563,6 +577,24 @@ class TestStandardizer:
         expected = (test.X - train.X.mean(axis=0)) / train.X.std(axis=0)
         assert np.array_equal(out.X, expected)
         assert abs(out.X[:, 0].mean()) > 0.5  # test columns need not be centered
+
+    @pytest.mark.parametrize("mean, std, shapes", [
+        ([0.5], [1.0, 2.0], "(1,) and (2,)"),
+        ([0.5, 0.5], [1.0], "(2,) and (1,)"),
+        ([[0.5, 0.5]], [1.0, 2.0], "(1, 2) and (2,)"),
+        ([[0.5, 0.5]], [[1.0, 2.0]], "(1, 2) and (1, 2)"),
+        (0.5, 1.0, "() and ()"),
+    ])
+    def test_mean_and_std_of_other_shapes_are_rejected(self, mean, std, shapes):
+        with pytest.raises(ValueError, match=rf"got shapes {re.escape(shapes)}$"):
+            StandardizationParams(mean, std)
+
+    @pytest.mark.parametrize("features", [1, 3])
+    def test_dataset_of_another_width_is_rejected(self, features):
+        params = StandardizationParams(np.zeros(features), np.ones(features))
+        with pytest.raises(ValueError, match=f"the standardizer has {features} features "
+                                             "but the dataset has 2"):
+            apply_standardizer(params, gen_logical(4))
 
 
 class TestSplits:
