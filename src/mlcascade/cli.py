@@ -182,6 +182,9 @@ def cmd_bench(args) -> int:
         raise UsageError("--iters must be >= 1")
     if not 0.0 < args.split < 1.0:
         raise UsageError("--split must be strictly between 0 and 1")
+    # The name starts each report file's name in the --out directory.
+    if args.name is not None and (not args.name or {os.sep, os.altsep} & set(args.name)):
+        raise UsageError(f"--name must be a file name without a path separator, got {args.name!r}")
     name, dataset = _load_dataset(args)
     if args.name:
         name = args.name

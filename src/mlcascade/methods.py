@@ -57,14 +57,11 @@ class MethodConfig:
     cascade_at_test: bool = False
 
     def __post_init__(self) -> None:
-        if self.synthetic_count is not None and self.synthetic_count < 0:
-            raise ValueError("synthetic_count must be >= 0")
-        if self.indicator_count is not None and self.indicator_count < 0:
-            raise ValueError("indicator_count must be >= 0")
-        if self.subset_size < 1:
-            raise ValueError("subset_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("synthetic_count", 0), ("indicator_count", 0), ("subset_size", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass

@@ -42,6 +42,8 @@ class _ThresholdUnits:
         return D + k if cls.chained else D
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         rows = [np.asarray(w, dtype=float) for w in self.weights]
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         if len(rows) != self.H or self.thresholds.shape != (self.H,):
@@ -68,14 +70,9 @@ class TLUCascade(_ThresholdUnits):
 class RandomProjection(_ThresholdUnits):
     """Flat random threshold units; every unit reads only the feature vector.
 
-    weights is the H x D matrix of their rows."""
+    weights[k] is unit k's masked weight row, of length D."""
 
     chained = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # The rows of an H = 0 projection stack to shape (0,), not (0, D).
-        self.weights = np.array(self.weights).reshape(self.H, self.D)
 
 
 @dataclass
@@ -91,6 +88,8 @@ class LabelIndicatorSet:
     entries: list = field(kw_only=True)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.entries = [_indicator_entry(k, e) for k, e in enumerate(self.entries)]
         for s, c in self.entries:
             if not s:
@@ -185,6 +184,12 @@ def _apply_units(units: _ThresholdUnits, x: np.ndarray) -> np.ndarray:
 apply_cascade = apply_projection = _apply_units
 
 
+def _subset_codes(Y: np.ndarray, subset) -> np.ndarray:
+    """Each row's bits at the subset's positions, read as a binary number
+    whose first position is the highest bit."""
+    return Y[:, list(subset)] @ (1 << np.arange(len(subset) - 1, -1, -1))
+
+
 def sample_indicators(
     train_Y: np.ndarray, n_nodes: int, subset_size: int, seed: int
 ) -> LabelIndicatorSet:
@@ -204,12 +209,11 @@ def sample_indicators(
     if n_nodes < 0:
         raise ValueError("n_nodes must be >= 0")
     rng = np.random.default_rng(seed)
-    powers = 1 << np.arange(subset_size - 1, -1, -1)
     entries = []
     for _ in range(n_nodes):
         s = np.sort(rng.choice(L, size=subset_size, replace=False))
         # The sorted codes np.unique would give, without importing numpy.ma.
-        observed = sorted(set((train_Y[:, s] @ powers).tolist()))
+        observed = sorted(set(_subset_codes(train_Y, s).tolist()))
         entries.append((tuple(int(i) for i in s), int(rng.choice(observed))))
     return LabelIndicatorSet(n_labels=L, seed=seed, entries=entries)
 
@@ -219,6 +223,5 @@ def apply_indicators(indicators: LabelIndicatorSet, y: np.ndarray) -> np.ndarray
     y = as_rows(y, indicators.n_labels, np.int64)
     out = np.zeros((y.shape[0], indicators.n_nodes), dtype=np.int64)
     for k, (s, c) in enumerate(indicators.entries):
-        powers = 1 << np.arange(len(s) - 1, -1, -1)
-        out[:, k] = (y[:, list(s)] @ powers) == c
+        out[:, k] = _subset_codes(y, s) == c
     return out

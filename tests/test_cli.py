@@ -468,6 +468,13 @@ class TestTrainPredict:
          "$.model: Python int too large to convert to C long"),
         ("elm", lambda m: m["projection"].update(weights=-1),
          "field $.model.projection.weights must be a list, got -1"),
+        # A negative seed, which no generator accepts.
+        ("ccasl", lambda m: m["cascade"].update(seed=-1),
+         "$.model.cascade: seed must be >= 0, got -1"),
+        ("elm", lambda m: m["projection"].update(seed=-1),
+         "$.model.projection: seed must be >= 0, got -1"),
+        ("ccasl+aml", lambda m: m["indicators"].update(seed=-1),
+         "$.model.indicators: seed must be >= 0, got -1"),
     ])
     def test_inconsistent_model_part_is_data_error(self, tmp_path, logical_csv, capsys,
                                                    method, edit, message):
@@ -616,6 +623,9 @@ class TestUsage:
              "--label-count", "-1"],
             ["bench", "--dataset", "logical", "--split", "1.5"],
             ["bench", "--dataset", "logical", "--methods", ","],
+            # --name starts the name of each report file.
+            ["bench", "--dataset", "logical", "--methods", "br", "--iters", "1", "--name", "a/b"],
+            ["bench", "--dataset", "logical", "--methods", "br", "--iters", "1", "--name", ""],
         ]),
         # A CSV dataset needs --label-count, so the message names that flag.
         pytest.param(["bench", "--dataset", str(DATA / "missing.csv")], "--label-count",

@@ -216,7 +216,9 @@ def test_projection_matches_reference(h, probe_layout, n, d, kind, layout, seed)
     X = _matrix(n, d, kind, seed, layout)
     ref_X = _c_ordered(X, layout)
     new, ref = init_projection(X, h, seed), reference_init_projection(ref_X, h, seed)
-    assert _same(new.weights, ref.weights)
+    assert len(new.weights) == h
+    for a, b in zip(new.weights, ref.weights, strict=True):
+        assert _same(a, b)
     assert _same(new.thresholds, ref.thresholds)
     assert _same(apply_projection(new, X), reference_apply_projection(ref, ref_X))
     probe = _matrix(n + 3, d, kind, seed + 1, probe_layout)

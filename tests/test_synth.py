@@ -156,7 +156,8 @@ class TestCascadeEvaluation:
 class TestProjection:
     def test_units_read_only_features(self, train_X):
         proj = init_projection(train_X, 6, seed=4)
-        assert proj.weights.shape == (6, 4)
+        assert len(proj.weights) == 6
+        assert all(row.shape == (4,) for row in proj.weights)
 
     def test_determinism(self, train_X):
         a = init_projection(train_X, 6, seed=4)
@@ -202,7 +203,7 @@ class TestProjection:
     def test_empty_projection_json_round_trip(self, train_X):
         proj = init_projection(train_X, 0, seed=2)
         clone = _round_trip(proj)
-        assert clone.weights.shape == (0, 4)
+        assert clone.weights == []
         assert apply_projection(clone, train_X).shape == (50, 0)
 
 
