@@ -365,10 +365,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mlcascade: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MethodFailure as e:
-        # A method rejecting its data (a diverging fit) is a data error.
-        if isinstance(e.__cause__, ValueError):
-            print(f"mlcascade: data error: {e}", file=sys.stderr)
-            return EXIT_DATA
         print(f"mlcascade: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as e:  # pragma: no cover - defensive

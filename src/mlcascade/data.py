@@ -11,11 +11,8 @@ import numpy as np
 
 
 class CsvFormatError(ValueError):
-    """Malformed CSV input (ragged rows, unparsable cells, empty body)."""
-
-
-class NonBinaryLabelError(CsvFormatError):
-    """A label cell did not parse to 0 or 1."""
+    """Malformed CSV input (ragged rows, unparsable cells, labels other than
+    0 or 1, empty body)."""
 
 
 @dataclass
@@ -189,7 +186,9 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
 
     The trailing label_count columns are the labels (leading columns when
     labels_last is False) and must parse to exactly 0 or 1.  Every cell is
-    read as Python's float() reads it; feature cells must be finite.
+    read as Python's float() reads it; feature cells must be finite, and at
+    least one column must be a feature.  A leading UTF-8 byte-order mark is
+    not part of the first column's name.
 
     A file of plain ASCII is first parsed in C by _load_plain_csv; a file
     that it raises on, every file with an error included, goes through
@@ -201,6 +200,9 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
         raise ValueError("label_count must be >= 0")
     with open(path, "rb") as fh:
         raw = fh.read()
+    # The mark is cut from the bytes, not decoded away with utf-8-sig, whose
+    # error offsets do not count it: every offset below counts in raw.
+    raw = raw.removeprefix(b"\xef\xbb\xbf")
     try:
         return _load_plain_csv(raw, label_count, labels_last)
     except Exception:
@@ -222,8 +224,9 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     width = len(header)
-    if label_count > width:
-        raise CsvFormatError(f"{path}: label_count {label_count} exceeds {width} columns")
+    if label_count >= width:
+        left = "exceeds" if label_count > width else "leaves no feature column in"
+        raise CsvFormatError(f"{path}: label_count {label_count} {left} {width} columns")
     for i, row in enumerate(rows):
         if len(row) != width:
             raise CsvFormatError(
@@ -245,11 +248,11 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
             try:
                 v = float(row[j])
             except ValueError:
-                raise NonBinaryLabelError(f"{path}: row {i + 2}, label {header[j]!r}: "
-                                          f"cannot parse {row[j]!r}") from None
+                raise CsvFormatError(f"{path}: row {i + 2}, label {header[j]!r}: "
+                                     f"cannot parse {row[j]!r}") from None
             if v not in (0.0, 1.0):
-                raise NonBinaryLabelError(f"{path}: row {i + 2}, label {header[j]!r}: "
-                                          f"value {row[j]!r} is not 0 or 1")
+                raise CsvFormatError(f"{path}: row {i + 2}, label {header[j]!r}: "
+                                     f"value {row[j]!r} is not 0 or 1")
             ys.append(v)
     X = np.array(xs, dtype=float).reshape(len(rows), len(feat_idx))
     Y = np.array(ys, dtype=np.int64).reshape(len(rows), label_count)

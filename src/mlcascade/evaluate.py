@@ -23,7 +23,8 @@ MAX_ENUMERATION_LABELS = 12
 
 
 class MethodFailure(RuntimeError):
-    """A method raised while training or predicting inside the experiment loop."""
+    """A method raised something other than a ValueError while training or
+    predicting inside the experiment loop."""
 
 
 def _check_pair(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +190,13 @@ def run_experiment(
     train every method on the identical split, and score exact match and
     Hamming score on the test rows.  Everything is derived from master_seed
     (see derive_seed), so two runs with the same seed agree bitwise.
+
+    A method that rejects its data (a ValueError, such as a diverging fit)
+    raises a ValueError; any other exception it raises becomes a
+    MethodFailure.  Either message names the method, the dataset and the
+    iteration.  Both keep their class and message through pickling, so a
+    caller, in this process or another, tells a data error from any other
+    fault by its class alone.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -218,9 +226,9 @@ def run_experiment(
                     model = train_method(name, train_s, cfg_k)
                     pred = model.predict(test_s.X)
                 except Exception as e:
-                    raise MethodFailure(
-                        f"method {name!r} failed on dataset {ds_name!r}, iteration {it}: {e}"
-                    ) from e
+                    kind = ValueError if isinstance(e, ValueError) else MethodFailure
+                    raise kind(f"method {name!r} failed on dataset {ds_name!r}, "
+                               f"iteration {it}: {e}") from e
                 exact[d, k, it] = exact_match(test_s.Y, pred)
                 hamming[d, k, it] = hamming_score(test_s.Y, pred)
     return ExperimentReport(

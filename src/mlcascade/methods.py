@@ -88,16 +88,12 @@ class CCASLModel:
         check_sizes(("cascade.D", self.cascade.D, "chain.input_dim", self.chain.input_dim))
 
     @property
-    def n_synthetic(self) -> int:
-        return self.cascade.H
-
-    @property
     def input_dim(self) -> int:
         return self.chain.input_dim
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         bits = _chain_bits(self.cascade, self.chain, self.cascade_at_test, x)
-        return bits[:, self.n_synthetic :]
+        return bits[:, self.cascade.H :]
 
 
 @dataclass

@@ -3,6 +3,7 @@ results: no benchmark is run."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -15,6 +16,7 @@ METRICS = [
     {"name": "cells_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
     {"name": "success_rate", "unit": "ratio", "better": "higher", "bound": 0.01},
 ]
+METRIC_NAMES = [m["name"] for m in METRICS]
 
 
 def _result(op_s, cells, failed=0, attempted=10):
@@ -176,11 +178,79 @@ def test_wall_clock_rows_give_each_sides_quartiles_without_a_claim():
 def test_run_bench_reads_the_wall_clock_line_before_the_result(tmp_path):
     result = _result(1.0, 100.0)
     wall = {"op_s.p50": 0.9, "reference_s.p50": 0.02}
+    env = {"workload": "logical", "seed": 1}
+    golden = "golden check (seed 1): 0 of 52 cells differ"
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(
         "import json\n"
-        "print(json.dumps({'env': {}}))\n"
-        "print('golden: 0 of 52 cells differ')\n"
+        f"print(json.dumps({{'env': {env!r}}}))\n"
+        f"print({golden!r})\n"
         f"print(json.dumps({{'wall_clock': {wall!r}}}))\n"
         f"print(json.dumps({result!r}))\n", encoding="utf-8")
-    assert ab_bench.run_bench(tmp_path, "logical", 1, 1.0) == {**result, "wall_clock": wall}
+    assert ab_bench.run_bench(tmp_path, "logical", 1, 1.0) == {
+        **result, "wall_clock": wall, "env": env, "golden": [golden]}
+
+
+def _run(op_s, seed, golden=None):
+    """A canned run as run_bench returns it, with its env line, wall clock
+    and, for seed 1, its golden-check line."""
+    run = _with_wall_clock(_result(op_s, 100.0), op_s * 0.9, 0.02)
+    run["env"] = {"workload": "logical", "seed": seed, "nproc": 2}
+    if golden:
+        run["golden"] = [golden]
+    return run
+
+
+def test_record_holds_the_summary_as_data(tmp_path, monkeypatch, capsys):
+    golden = "golden check (seed 1): 0 of 52 cells differ"
+    runs = {("parent", 1): _run(2.0, 1, golden), ("change", 1): _run(1.0, 1, golden),
+            ("parent", 2): _run(3.0, 2), ("change", 2): _run(1.5, 2)}
+    monkeypatch.setattr(ab_bench, "run_bench",
+                        lambda checkout, workload, seed, seconds: runs[checkout.name, seed])
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    path = tmp_path / "BENCH_logical.json"
+    assert ab_bench.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "logical", "--pairs", "2",
+                          "--seconds", "5", "--record", str(path)]) == 0
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    # Neither side is a git checkout.
+    assert entry["commits"] == {"parent": None, "change": None}
+    assert (entry["workload"], entry["pairs"], entry["seconds"], entry["seeds"]) == (
+        "logical", 2, 5.0, [1, 2])
+    assert [env["seed"] for env in entry["env"]["parent"]] == [1, 2]
+    assert entry["golden"] == {"parent": [golden], "change": [golden]}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [m["name"] for m in entry["metrics"]] == [
+        m["name"] for m in spec["end_to_end"] if m["name"] in METRIC_NAMES]
+    op = entry["metrics"][0]
+    assert op["name"] == "op_s.p50" and op["better"] == "lower" and op["bound"] == 0.25
+    assert op["quartiles"] == {"parent": [2.25, 2.5, 2.75], "change": [1.125, 1.25, 1.375]}
+    assert op["wins"] == {"parent": 0, "change": 2}
+    assert (op["claim"], op["verdict"]) == ("GAIN", "within bound")
+    assert entry["wall_clock"]["op_s.p50"]["change"] == [1.0125, 1.125, 1.2375]
+    assert entry["ops"] == {side: {"failed": 0, "attempted": 20, "correct_runs": 2}
+                            for side in ("parent", "change")}
+    assert entry["failed_ops"] == "not worse"
+    # The printed summary is the entry's comparison, line for line.
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ab_bench.summarize([{"parent": runs["parent", k], "change": runs["change", k]}
+                                          for k in (1, 2)], spec["end_to_end"])
+
+
+def test_commit_id_marks_changed_files_and_ignores_a_subdirectory(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c",
+                        "user.email=t@t", *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("a")
+    (tmp_path / "sub").mkdir()
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    head = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert ab_bench.commit_id(tmp_path) == head
+    assert ab_bench.commit_id(tmp_path / "sub") is None
+    (tmp_path / "a.txt").write_text("b")
+    assert ab_bench.commit_id(tmp_path) == head + "-dirty"

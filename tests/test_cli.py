@@ -173,6 +173,17 @@ class TestTrainPredict:
         expected = train_method("br", ds, MethodConfig(seed=1)).predict(ds.X)
         assert np.array_equal(got, expected)
 
+    def test_model_trained_on_a_byte_order_marked_csv_predicts_the_bare_one(self, tmp_path,
+                                                                             logical_csv):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + logical_csv.read_bytes())
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--dataset", str(marked), "--label-count", "3",
+                     "--method", "br", "--out", str(model_path)]) == 0
+        assert json.loads(model_path.read_text())["feature_names"] == ["x1", "x2"]
+        assert main(["predict", "--model", str(model_path), "--data", str(logical_csv),
+                     "--label-count", "3", "--out", str(tmp_path / "p.csv")]) == 0
+
     def test_dimension_mismatch_is_data_error(self, tmp_path, logical_csv, capsys):
         model_path = tmp_path / "model.json"
         main(["train", "--dataset", str(logical_csv), "--label-count", "3",
@@ -506,7 +517,8 @@ class TestTrainPredict:
     @pytest.mark.parametrize("text, label_count, message", [
         ("", "3", "empty file"),
         ("x1,x2,a,b,c\n0,1,0,1,1\n", "6", "label_count 6 exceeds 5 columns"),
-    ], ids=["zero-byte", "label-count-too-large"])
+        ("x1,x2,a,b,c\n0,1,0,1,1\n", "5", "label_count 5 leaves no feature column in 5 columns"),
+    ], ids=["zero-byte", "label-count-too-large", "label-count-equals-width"])
     def test_unreadable_prediction_csv_is_data_error(self, tmp_path, capsys, text, label_count,
                                                      message):
         data = tmp_path / "data.csv"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mlcascade.data import (
     CsvFormatError,
     Dataset,
-    NonBinaryLabelError,
     StandardizationParams,
     SynthNetSpec,
     apply_standardizer,
@@ -93,8 +92,9 @@ def reference_load_csv(path: str | Path, label_count: int, labels_last: bool = T
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     width = len(header)
-    if label_count > width:
-        raise CsvFormatError(f"{path}: label_count {label_count} exceeds {width} columns")
+    if label_count >= width:
+        left = "exceeds" if label_count > width else "leaves no feature column in"
+        raise CsvFormatError(f"{path}: label_count {label_count} {left} {width} columns")
     for i, row in enumerate(rows):
         if len(row) != width:
             raise CsvFormatError(
@@ -121,12 +121,12 @@ def reference_load_csv(path: str | Path, label_count: int, labels_last: bool = T
             try:
                 v = float(row[j])
             except ValueError:
-                raise NonBinaryLabelError(
+                raise CsvFormatError(
                     f"{path}: row {i + 2}, label {header[j]!r}: "
                     f"cannot parse {row[j]!r}"
                 ) from None
             if v not in (0.0, 1.0):
-                raise NonBinaryLabelError(
+                raise CsvFormatError(
                     f"{path}: row {i + 2}, label {header[j]!r}: value {row[j]!r} is not 0 or 1"
                 )
             Y[i, out_j] = int(v)
@@ -373,7 +373,7 @@ class TestCsv:
     def test_non_binary_label_cell(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n0.5,2\n")
-        with pytest.raises(NonBinaryLabelError):
+        with pytest.raises(CsvFormatError, match="is not 0 or 1"):
             load_csv(p, label_count=1)
 
     def test_ragged_rows(self, tmp_path):
@@ -399,6 +399,8 @@ class TestCsv:
         # np.loadtxt reads the rows as a 2 x 2 matrix, so the C parse hands
         # the file to csv.reader, which names the first short row.
         ("a,b,c\n0.5,1\n-1,0\n", 1, "row 2 has 2 cells, expected 3"),
+        # Dataset would refuse the table too, but without the file's name.
+        ("a,b\n0.5,1\n", 2, r"d\.csv: label_count 2 leaves no feature column in 2 columns$"),
     ])
     def test_bad_label_count_or_header_width_is_named(self, tmp_path, text, label_count,
                                                        message):
@@ -486,6 +488,31 @@ class TestCsv:
         at = 8 + 2 * len(line_end)
         assert str(caught.value) == (f"{p}: line 3: 'utf-8' codec can't decode byte 0xe9 "
                                      f"in position {at}: invalid continuation byte")
+
+    @pytest.mark.parametrize("text", ["x1,x2,y1\r\n0.5,-1,1\r\n2,3,0\r\n",
+                                      '"x1",x2,y1\n0.5,-1,1\n2,3,0\n'],
+                             ids=["plain", "quoted"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, monkeypatch, text):
+        bare, marked = tmp_path / "bare.csv", tmp_path / "marked.csv"
+        bare.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = load_csv(bare, label_count=1)
+        if text.startswith("x1"):
+            # A marked file that is otherwise plain ASCII takes the C parse.
+            monkeypatch.setattr("mlcascade.data.csv.reader", None)
+        got = load_csv(marked, label_count=1)
+        assert got.feature_names == want.feature_names == ["x1", "x2"]
+        assert got.label_names == want.label_names
+        assert got.X.tobytes() == want.X.tobytes() and np.array_equal(got.Y, want.Y)
+
+    def test_byte_order_mark_before_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + b"\n".join([b"a,b", b"0.5,1", b"\xe9,0", b""]))
+        with pytest.raises(CsvFormatError) as caught:
+            load_csv(p, label_count=1)
+        # The offset counts from the first byte after the mark.
+        assert str(caught.value) == (f"{p}: line 3: 'utf-8' codec can't decode byte 0xe9 "
+                                     f"in position 10: invalid continuation byte")
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 3),

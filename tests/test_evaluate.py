@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,22 @@ class TestRunExperiment:
         monkeypatch.setitem(methods_module._TRAINERS, "br", boom)
         with pytest.raises(MethodFailure, match="'br'.*'logical'.*iteration 0"):
             run_experiment({"logical": gen_logical(20)}, ["br"], 1, 0.6, master_seed=1)
+
+    @pytest.mark.parametrize("raised, kind", [(ValueError, ValueError),
+                                              (RuntimeError, MethodFailure)])
+    def test_fault_class_and_message_survive_pickling(self, monkeypatch, raised, kind):
+        # A worker process returns its exception pickled, which drops
+        # __cause__: the class alone tells a data error from any other fault.
+        def trainer(dataset, cfg):
+            raise raised("bad fit")
+
+        monkeypatch.setitem(methods_module._TRAINERS, "br", trainer)
+        with pytest.raises(Exception) as caught:
+            run_experiment({"logical": gen_logical(20)}, ["br"], 1, 0.6, master_seed=1)
+        back = pickle.loads(pickle.dumps(caught.value))
+        for e in (caught.value, back):
+            assert type(e) is kind
+            assert str(e) == "method 'br' failed on dataset 'logical', iteration 0: bad fit"
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):

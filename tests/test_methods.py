@@ -87,7 +87,7 @@ class TestCCASL:
         # the remaining computation must equal a plain chain over the labels.
         cfg = MethodConfig(synthetic_count=3, seed=7)
         model = train_ccasl(logical, cfg)
-        H, D = model.n_synthetic, logical.n_features
+        H, D = model.cascade.H, logical.n_features
         reduced = []
         for j, lm in enumerate(model.chain.models[H:]):
             w = lm.weights.copy()

@@ -30,6 +30,11 @@ quartiles of the wall-clock op_s.p50 and reference_s.p50 that bench/run.py
 prints before its result on untraced runs, so a gain in the rescaled op time
 can be read against wall time.  Nothing is written to either checkout beyond
 what the benchmark itself writes.
+
+With --record PATH the tool also writes the comparison to PATH as one JSON
+entry (see record): each side's commit id (null outside a git checkout) and
+env lines, each metric's quartiles, wins, claim and verdict, the wall-clock
+quartiles, the op counts and the seed-1 golden-check lines.
 """
 
 import argparse
@@ -46,7 +51,9 @@ WALL_CLOCK = ("op_s.p50", "reference_s.p50")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object that bench/run.py prints last, run in checkout."""
+    """The result object that bench/run.py prints last, run in checkout, with
+    the env and wall-clock objects and the golden-check lines it prints
+    before it."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -56,8 +63,10 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     for line in lines[:-1]:
-        if line.startswith('{"wall_clock"'):
+        if line.startswith(('{"env"', '{"wall_clock"')):
             result.update(json.loads(line))
+        elif line.startswith("golden check"):
+            result.setdefault("golden", []).append(line)
     return result
 
 
@@ -76,22 +85,24 @@ def worse_by(parent: float, change: float, better: str) -> float:
     return lost / abs(parent)
 
 
-def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
-    """Summary lines for pairs of results ({"parent": result, "change": result})
-    over the end-to-end metrics declared in BENCHMARK.json."""
-    ops = {side: [sum(p[side][k] for p in pairs) for k in ("failed", "attempted")]
+def compare(pairs: list[dict], metrics: list[dict]) -> dict:
+    """The comparison of pairs of results ({"parent": result, "change": result})
+    over the end-to-end metrics declared in BENCHMARK.json, as data: each
+    metric's quartiles per side, wins, claim and verdict; the wall-clock
+    quartiles; each side's failed and attempted ops and correct runs; and
+    whether the change failed a larger share of its ops."""
+    ops = {side: {k: sum(p[side][k] for p in pairs) for k in ("failed", "attempted")}
            for side in SIDES}
-    share = {side: failed / max(attempted, 1) for side, (failed, attempted) in ops.items()}
+    share = {side: o["failed"] / max(o["attempted"], 1) for side, o in ops.items()}
     more_failed = share["change"] > share["parent"]
-    lines = [f"{'metric':<14} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34} "
-             f"{'wins p:c':>8}  claim  verdict"]
+    rows = []
     for m in metrics:
         name, better, bound = m["name"], m["better"], m["bound"]
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs
                          if name in p[side]["metrics"]] for side in SIDES}
         if not all(values.values()):
             continue
-        quartiles = {side: np.percentile(v, [25, 50, 75]) for side, v in values.items()}
+        quartiles = {side: np.percentile(v, [25, 50, 75]).tolist() for side, v in values.items()}
         wins = dict.fromkeys(SIDES, 0)
         for a, b in zip(values["parent"], values["change"]):
             if a != b:
@@ -108,35 +119,89 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
             verdict = "unresolved"
         else:
             verdict = "within bound"
-        shown = {side: " / ".join(f"{v:.4g}" for v in q) for side, q in quartiles.items()}
-        lines.append(f"{name:<14} {shown['parent']:>34} {shown['change']:>34} "
-                     f"{wins['parent']:>4}:{wins['change']:<3}  {'GAIN' if gain else '-':<5}  "
-                     f"{verdict}")
-    lines.extend(wall_clock_rows(pairs))
+        rows.append({"name": name, "unit": m["unit"], "better": better, "bound": bound,
+                     "quartiles": quartiles, "wins": wins, "claim": "GAIN" if gain else "-",
+                     "verdict": verdict})
     for side in SIDES:
-        correct = sum(bool(p[side]["correct"]) for p in pairs)
-        lines.append(f"{side}: {ops[side][0]}/{ops[side][1]} ops failed, "
-                     f"{correct}/{len(pairs)} runs correct")
+        ops[side]["correct_runs"] = sum(bool(p[side]["correct"]) for p in pairs)
+    return {"metrics": rows, "wall_clock": wall_clock(pairs), "ops": ops,
+            "failed_share": share, "failed_ops": "WORSE" if more_failed else "not worse"}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
+    """Summary lines for pairs of results ({"parent": result, "change": result})
+    over the end-to-end metrics declared in BENCHMARK.json."""
+    c = compare(pairs, metrics)
+    lines = [f"{'metric':<14} {'parent q1 / median / q3':>34} {'change q1 / median / q3':>34} "
+             f"{'wins p:c':>8}  claim  verdict"]
+    for row in c["metrics"]:
+        shown = _shown(row["quartiles"])
+        lines.append(f"{row['name']:<14} {shown['parent']:>34} {shown['change']:>34} "
+                     f"{row['wins']['parent']:>4}:{row['wins']['change']:<3}  "
+                     f"{row['claim']:<5}  {row['verdict']}")
+    for key, quartiles in c["wall_clock"].items():
+        shown = _shown(quartiles)
+        lines.append(f"{'wall ' + key:<14} {shown['parent']:>34} {shown['change']:>34}"
+                     "  (wall clock, not rescaled; no claim)")
+    for side, o in c["ops"].items():
+        lines.append(f"{side}: {o['failed']}/{o['attempted']} ops failed, "
+                     f"{o['correct_runs']}/{len(pairs)} runs correct")
+    share = c["failed_share"]
     lines.append(f"failed ops: parent {share['parent']:.2%}, change {share['change']:.2%}  "
-                 f"{'WORSE' if more_failed else 'not worse'}")
+                 f"{c['failed_ops']}")
     return lines
 
 
-def wall_clock_rows(pairs: list[dict]) -> list[str]:
+def _shown(quartiles: dict) -> dict:
+    return {side: " / ".join(f"{v:.4g}" for v in q) for side, q in quartiles.items()}
+
+
+def wall_clock(pairs: list[dict]) -> dict:
     """Each side's quartiles of the wall-clock times that bench/run.py prints
     beside its result on untraced runs: the op time before rescaling by the
     reference loop, and the reference loop's own time.  They are for reading
     a rescaled gain against wall time, so they carry no claim or verdict;
     none is given unless every run has them."""
     if not all("wall_clock" in p[side] for p in pairs for side in SIDES):
-        return []
-    lines = []
-    for key in WALL_CLOCK:
-        shown = {side: " / ".join(f"{v:.4g}" for v in np.percentile(
-            [p[side]["wall_clock"][key] for p in pairs], [25, 50, 75])) for side in SIDES}
-        lines.append(f"{'wall ' + key:<14} {shown['parent']:>34} {shown['change']:>34}"
-                     "  (wall clock, not rescaled; no claim)")
-    return lines
+        return {}
+    return {key: {side: np.percentile([p[side]["wall_clock"][key] for p in pairs],
+                                      [25, 50, 75]).tolist() for side in SIDES}
+            for key in WALL_CLOCK}
+
+
+def commit_id(checkout: Path) -> str | None:
+    """The commit checked out at the root of checkout, with "-dirty" appended
+    when its files differ from that commit (as git describe --dirty marks
+    it); None when checkout is not the root of a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                              text=True)
+    try:
+        top, head = git("rev-parse", "--show-toplevel", "--verify", "HEAD").stdout.split()
+    except (OSError, ValueError):
+        return None
+    if Path(top).resolve() != checkout.resolve():
+        return None
+    return head + ("-dirty" if git("status", "--porcelain").stdout else "")
+
+
+def record(pairs: list[dict], metrics: list[dict], workload: str, seconds: float, seed: int,
+           commits: dict) -> dict:
+    """The entry --record writes: the runs' settings, each side's commit id
+    and the {"env": ...} line of each of its runs in pair order, the
+    comparison that summarize prints, and the golden-check lines of the
+    seed-1 runs."""
+    return {
+        "workload": workload,
+        "pairs": len(pairs),
+        "seconds": seconds,
+        "seeds": [seed, seed + len(pairs) - 1],
+        "commits": commits,
+        "env": {side: [p[side].get("env") for p in pairs] for side in SIDES},
+        **compare(pairs, metrics),
+        "golden": {side: [line for p in pairs for line in p[side].get("golden", [])]
+                   for side in SIDES},
+    }
 
 
 def main(argv=None) -> int:
@@ -147,6 +212,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=1, help="pair k runs seed + k")
+    p.add_argument("--record", type=Path, help="also write the comparison as one JSON entry")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     checkouts = {"parent": args.parent, "change": args.change}
@@ -162,6 +228,10 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds "
           f"{args.seed}..{args.seed + args.pairs - 1}")
     print("\n".join(summarize(pairs, spec["end_to_end"])))
+    if args.record:
+        commits = {side: commit_id(checkouts[side]) for side in SIDES}
+        entry = record(pairs, spec["end_to_end"], args.workload, args.seconds, args.seed, commits)
+        args.record.write_text(json.dumps(entry, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
