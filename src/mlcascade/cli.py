@@ -19,6 +19,8 @@ from .data import (
     Dataset,
     SynthNetSpec,
     apply_standardizer,
+    check_utf8,
+    csv_line,
     fit_standardizer,
     gen_logical,
     gen_synthetic,
@@ -26,7 +28,7 @@ from .data import (
     save_csv,
 )
 from .evaluate import MethodFailure, run_experiment
-from .logistic import TrainConfig
+from .logistic import TrainConfig, at_least
 from .methods import (
     METHOD_NAMES,
     MethodConfig,
@@ -78,8 +80,9 @@ def _write_manifest(csv_path: Path, manifest: dict) -> Path:
 
 
 def _checked(make, *args, **kw):
-    """make(*args, **kw), where a config's error for a field out of range,
-    which starts with the field's name, is a usage error naming its flag."""
+    """make(*args, **kw), where an error for a value out of range, which
+    starts with the name of the value (a config's field, or at_least's name
+    for a flag's dest), is a usage error naming its flag."""
     try:
         return make(*args, **kw)
     except ValueError as e:
@@ -91,14 +94,6 @@ def _config(cls, args, **given):
     values; a value out of range is a usage error."""
     flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
     return _checked(cls, **flags | given)
-
-
-def _check_seed(seed: int, flag: str) -> None:
-    """A negative generator seed is a usage error naming its flag, --seed or
-    --gen-seed (both set SynthNetSpec.seed), also where the seed goes unused:
-    the logical generator draws nothing, and a CSV dataset is not generated."""
-    if seed < 0:
-        raise UsageError(f"{flag}: seed must be >= 0, got {seed}")
 
 
 def _method_config(args) -> MethodConfig:
@@ -120,7 +115,9 @@ def _generate(kind: str, args, seed: int) -> tuple[Dataset, dict]:
 
 def _load_dataset(args) -> tuple[str, Dataset]:
     source = args.dataset
-    _check_seed(args.gen_seed, "--gen-seed")
+    # A negative seed is refused also where it goes unused: the logical
+    # generator draws nothing, and a CSV dataset is not generated.
+    _checked(at_least, "gen_seed", args.gen_seed, 0)
     if source in ("logical", "synthetic"):
         return source, _generate(source, args, args.gen_seed)[0]
     path = Path(source)
@@ -146,14 +143,13 @@ def _read(what: str, path, load, *args):
 
 def _read_csv(path: Path, args, what: str) -> Dataset:
     """The CSV file at path read with the --label-count and --labels-first flags."""
-    if args.label_count < 0:
-        raise UsageError(f"--label-count must be >= 0, got {args.label_count}")
+    _checked(at_least, "label_count", args.label_count, 0)
     return _read(what, path, load_csv, args.label_count, not args.labels_first)
 
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    _check_seed(args.seed, "--seed")
+    _checked(at_least, "seed", args.seed, 0)
     dataset, manifest = _generate(args.kind, args, args.seed)
     with _atomic_file(out) as tmp:
         save_csv(dataset, tmp)
@@ -178,8 +174,7 @@ def _parse_methods(raw: str) -> list[str]:
 
 
 def cmd_bench(args) -> int:
-    if args.iters < 1:
-        raise UsageError("--iters must be >= 1")
+    _checked(at_least, "iters", args.iters, 1)
     if not 0.0 < args.split < 1.0:
         raise UsageError("--split must be strictly between 0 and 1")
     # The name starts each report file's name in the --out directory.
@@ -188,6 +183,8 @@ def cmd_bench(args) -> int:
     name, dataset = _load_dataset(args)
     if args.name:
         name = args.name
+    # The name is written into the report files, so it must be UTF-8.
+    _checked(check_utf8, name, "name" if args.name else "dataset")
     methods = _parse_methods(args.methods)
     cfg = _method_config(args)
     report = run_experiment(
@@ -255,15 +252,16 @@ def cmd_predict(args) -> int:
 
 
 def _predictions_csv(label_names: list[str], bits: np.ndarray) -> bytes:
-    """A header line and one line of comma-separated digits per row of a 0/1
-    matrix; the body is built as one byte array, not one string per cell."""
+    """A header line of the label names, quoted as csv_line quotes them, and
+    one line of comma-separated digits per row of a 0/1 matrix; the body is
+    built as one byte array, not one string per cell."""
     n, width = bits.shape
     # Each row is its digits with a comma after all but the last, then a
     # newline; with no labels, a row is the newline alone.
     body = np.full((n, max(2 * width, 1)), ord(","), dtype=np.uint8)
     body[:, 0:2 * width:2] = bits + ord("0")
     body[:, -1] = ord("\n")
-    return (",".join(label_names) + "\n").encode("utf-8") + body.tobytes()
+    return csv_line(label_names).encode("utf-8") + body.tobytes()
 
 
 # Every argument of every subcommand with its argparse keywords.  A flag that

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .logistic import at_least
+
 
 class CsvFormatError(ValueError):
     """Malformed CSV input (ragged rows, unparsable cells, labels other than
@@ -105,8 +107,7 @@ class SynthNetSpec:
 
     def __post_init__(self) -> None:
         for name, low in (("D", 1), ("L", 1), ("N", 1), ("hidden_units", 0), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            at_least(name, getattr(self, name), low)
 
 
 # Input rows cycle through these in order: (x1, x2) with labels (or, and, xor).
@@ -181,6 +182,26 @@ def save_csv(dataset: Dataset, path: str | Path) -> None:
         )
 
 
+def csv_line(cells: list[str]) -> str:
+    """cells as one CSV line that ends in a line feed, where a cell that holds
+    a comma, a quote, CR or LF is quoted as csv.reader reads it back."""
+    buf = io.StringIO()
+    # csv.writer quotes a cell that holds a character of its line terminator;
+    # with the default "\r\n", cut off here, that covers CR and LF both.
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def check_utf8(text: str, what: str) -> None:
+    """Raise ValueError naming what if text cannot be written as UTF-8: it
+    holds a lone surrogate, as a JSON "\\ud800" escape or a command-line byte
+    that is not UTF-8 gives."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} {text!r} cannot be written as UTF-8") from None
+
+
 def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
@@ -196,8 +217,7 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
     rejects (a cell over its field size limit), is a CsvFormatError naming
     the line.
     """
-    if label_count < 0:
-        raise ValueError("label_count must be >= 0")
+    at_least("label_count", label_count, 0)
     with open(path, "rb") as fh:
         raw = fh.read()
     # The mark is cut from the bytes, not decoded away with utf-8-sig, whose

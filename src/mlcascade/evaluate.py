@@ -9,13 +9,13 @@ score both metrics on the test side.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, apply_standardizer, fit_standardizer, shuffle_labels, shuffle_split
-from .logistic import as_rows
+from .data import (Dataset, apply_standardizer, csv_line, fit_standardizer, shuffle_labels,
+                   shuffle_split)
+from .logistic import as_rows, at_least
 from .methods import MethodConfig, train_method
 from .transforms import BRModel
 
@@ -131,17 +131,16 @@ class ExperimentReport:
     def metric_csv(self, metric: str) -> str:
         """Wide CSV for one metric: one dataset per row, mean and rank per method."""
         means, ranks = self._tables(metric)
-        buf = io.StringIO()
         cols = ["dataset"]
         for m in self.method_names:
             cols += [m, f"{m}_rank"]
-        buf.write(",".join(cols) + "\n")
+        lines = [csv_line(cols)]
         for d, name in enumerate(self.dataset_names):
             cells = [name]
             for m in range(len(self.method_names)):
                 cells += [f"{means[d, m]:.6f}", f"{ranks[d, m]:.1f}"]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+            lines.append(csv_line(cells))
+        return "".join(lines)
 
     def table_text(self) -> str:
         """Aligned table, one section per metric, cells showing mean (rank)."""
@@ -198,9 +197,10 @@ def run_experiment(
     caller, in this process or another, tells a data error from any other
     fault by its class alone.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    at_least("iterations", iterations, 1)
     pairs = list(datasets.items()) if isinstance(datasets, dict) else list(datasets)
+    if not pairs:
+        raise ValueError("need at least one dataset")
     specs: list[tuple[str, MethodConfig]] = []
     for m in methods:
         if isinstance(m, str):

@@ -33,8 +33,7 @@ class TrainConfig:
         # A step or penalty of inf or nan makes the first epoch diverge.
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        at_least("epochs", self.epochs, 1)
         if not 0 <= self.l2_penalty < math.inf:
             raise ValueError(f"l2_penalty must be finite and >= 0, got {self.l2_penalty}")
 
@@ -83,6 +82,16 @@ def as_rows(x, dim: int, dtype=float) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != dim:
         raise ValueError(f"expected a 2-D matrix of rows of width {dim}, got shape {X.shape}")
     return X
+
+
+def at_least(name: str, value: int, least: int) -> None:
+    """Raise ValueError if the integer value named name is below least.
+
+    Every integer lower bound in the package is checked here, so its message
+    has one form, which starts with the name: cli._checked reads the flag
+    to name from that first word."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:

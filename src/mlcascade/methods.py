@@ -20,8 +20,8 @@ from typing import Any, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import Dataset, StandardizationParams
-from .logistic import TrainConfig
+from .data import Dataset, StandardizationParams, check_utf8
+from .logistic import TrainConfig, at_least
 from .synth import (
     LabelIndicatorSet,
     RandomProjection,
@@ -59,9 +59,8 @@ class MethodConfig:
     def __post_init__(self) -> None:
         for name, least in (("synthetic_count", 0), ("indicator_count", 0), ("subset_size", 1),
                             ("seed", 0)):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if getattr(self, name) is not None:
+                at_least(name, getattr(self, name), least)
 
 
 @dataclass
@@ -413,14 +412,15 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
     Raises ValueError naming the file for a file that is not JSON, or nested
     too deeply to read, or is not a version-1 model document, and names the
     JSON path of the first missing field, of a scalar field or a
-    number-list entry of the wrong type, of a list field that is not a list,
-    of a "models" field that is not a list of objects, of a model part that
-    fails its own checks (its arrays do not fit together, or hold an integer
-    too large for them), of a model that predicts no labels, and of a
-    metadata list that is not as long as the model's inputs or labels.  The
-    document is checked and built in one walk, so the first of these errors
-    in walk order is the one raised: the metadata types, then the model,
-    then the metadata lengths."""
+    number-list entry of the wrong type, of a name that cannot be written as
+    UTF-8, of a list field that is not a list, of a "models" field that is
+    not a list of objects, of a model part that fails its own checks (its
+    arrays do not fit together, or hold an integer too large for them), of a
+    model that predicts no labels, and of a metadata list that is not as
+    long as the model's inputs or labels.  The document is checked and built
+    in one walk, so the first of these errors in walk order is the one
+    raised: the metadata types and names, then the model, then the metadata
+    lengths."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -436,6 +436,13 @@ def load_model(path: str | Path) -> tuple[Any, dict]:
         for k, value in meta.items():
             if value is not None:
                 _check_type(value, f"$.{k}", *_FIELD_TYPES[k])
+        # predict writes the label names into its UTF-8 output and compares the
+        # feature names with a UTF-8 CSV header.  A nested list is left to
+        # _check_meta_lengths.
+        for k in ("feature_names", "label_names"):
+            for i, name in enumerate(meta[k] or ()):
+                if type(name) is str:
+                    check_utf8(name, f"field $.{k}[{i}]")
         model = model_from_dict(_field(doc, "$", "model"), "$.model")
         if model.n_labels < 1:
             raise ValueError("$.model: the model predicts no labels")

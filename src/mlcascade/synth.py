@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .logistic import as_rows, with_bit_columns
+from .logistic import as_rows, at_least, with_bit_columns
 
 WEIGHT_STD = 0.2          # scale of the random unit weights
 KEEP_PROB = 0.9           # each weight survives masking with this probability
@@ -42,8 +42,7 @@ class _ThresholdUnits:
         return D + k if cls.chained else D
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        at_least("seed", self.seed, 0)
         rows = [np.asarray(w, dtype=float) for w in self.weights]
         self.thresholds = np.asarray(self.thresholds, dtype=float)
         if len(rows) != self.H or self.thresholds.shape != (self.H,):
@@ -88,8 +87,7 @@ class LabelIndicatorSet:
     entries: list = field(kw_only=True)
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        at_least("seed", self.seed, 0)
         self.entries = [_indicator_entry(k, e) for k, e in enumerate(self.entries)]
         for s, c in self.entries:
             if not s:
@@ -135,8 +133,7 @@ def _draw_units(cls: type, train_X: np.ndarray, H: int, seed: int):
     train_X = np.asarray(train_X, dtype=float)
     if train_X.ndim != 2 or train_X.shape[0] == 0:
         raise ValueError("train_X must be a nonempty 2-D matrix")
-    if H < 0:
-        raise ValueError("H must be >= 0")
+    at_least("H", H, 0)
     D = train_X.shape[1]
     rng = np.random.default_rng(seed)
     inputs = with_bit_columns(train_X, H)
@@ -206,8 +203,7 @@ def sample_indicators(
     L = train_Y.shape[1]
     if not 1 <= subset_size <= L:
         raise ValueError(f"subset_size must be in 1..{L}, got {subset_size}")
-    if n_nodes < 0:
-        raise ValueError("n_nodes must be >= 0")
+    at_least("n_nodes", n_nodes, 0)
     rng = np.random.default_rng(seed)
     entries = []
     for _ in range(n_nodes):

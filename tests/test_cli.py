@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -121,6 +122,21 @@ class TestBench:
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "myname-exactmatch.csv", "myname-hamming.csv", "myname-report.txt"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dataset", "logical", "--name", "\udcff"],
+         "--name: name '\\udcff' cannot be written as UTF-8"),
+        (["--dataset", "{dir}/x\udcff.csv", "--label-count", "3"],
+         "--dataset: dataset 'x\\udcff' cannot be written as UTF-8"),
+    ], ids=["--name", "--dataset"])
+    def test_report_name_that_is_not_utf8_is_usage_error(self, tmp_path, capsys, argv, message):
+        # A command-line byte that is not UTF-8 reaches argv as a lone surrogate.
+        save_csv(gen_logical(20), tmp_path / "x\udcff.csv")
+        out = tmp_path / "out"
+        assert main(["bench", *(a.format(dir=tmp_path) for a in argv), "--methods", "br",
+                     "--iters", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"mlcascade: error: {message}\n"
+        assert not out.exists()
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
@@ -388,6 +404,10 @@ class TestTrainPredict:
         return json.loads(path.read_text())
 
     @pytest.mark.parametrize("edit, message", [
+        # JSON's "\ud800" escape reads as a lone surrogate, which UTF-8 cannot write.
+        *((lambda d, k=k: d[k].__setitem__(0, "\ud800"),
+           f"field $.{k}[0] '\\ud800' cannot be written as UTF-8")
+          for k in ("feature_names", "label_names")),
         (lambda d: d.update(label_names=["or"]),
          "field $.label_names has length 1, but the model has 3 labels"),
         (lambda d: d["standardizer"].update(mean=[0.5]),
@@ -565,6 +585,20 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert "missing field $.model.first_layer.chain.models[1].weights" in err
 
+    def test_label_names_that_need_quoting_are_quoted(self, tmp_path):
+        ds = gen_logical(20)
+        data, model, preds = tmp_path / "quoted.csv", tmp_path / "m.json", tmp_path / "p.csv"
+        # The header reads x1,x2,"y,1",y2.
+        save_csv(Dataset(ds.X, ds.Y[:, :2], ["x1", "x2"], ["y,1", "y2"]), data)
+        assert main(["train", "--dataset", str(data), "--label-count", "2", "--method", "br",
+                     "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--label-count", "2", "--out", str(preds)]) == 0
+        with open(preds, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["y,1", "y2"]
+        assert len(rows) == 21 and {len(row) for row in rows} == {2}
+
     def test_prediction_csv_has_exactly_label_columns(self, tmp_path, logical_csv):
         model_path = tmp_path / "model.json"
         main(["train", "--dataset", str(logical_csv), "--label-count", "3",
@@ -611,6 +645,17 @@ class TestUsage:
         code = main(["bench", "--dataset", "logical", "--iters", "0",
                      "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--dataset", "logical", "--iters", "0"], "--iters: iters must be >= 1, got 0"),
+        (["bench", "--dataset", str(DATA / "missing.csv"), "--label-count", "-1"],
+         "--label-count: label_count must be >= 0, got -1"),
+        (["bench", "--dataset", "logical", "--gen-seed", "-1"],
+         "--gen-seed: gen_seed must be >= 0, got -1"),
+    ], ids=["--iters", "--label-count", "--gen-seed"])
+    def test_lower_bound_message_names_flag_and_value(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"mlcascade: error: {message}\n"
 
     @pytest.mark.parametrize("argv, flag", [
         *(pytest.param(argv, argv[-2], id=" ".join(argv[-2:])) for argv in [

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 import tempfile
@@ -16,6 +17,7 @@ from mlcascade.data import (
     StandardizationParams,
     SynthNetSpec,
     apply_standardizer,
+    csv_line,
     fit_standardizer,
     gen_logical,
     gen_synthetic,
@@ -579,6 +581,15 @@ class TestCsv:
         assert np.array_equal(ds.X, loaded.X)
         assert np.array_equal(ds.Y, loaded.Y)
 
+
+class TestCsvLine:
+    @pytest.mark.parametrize("cells", [
+        ["a", "b"], ["a,b", 'a"b', "a\rb", "a\nb", "a\r\nb"], [""], ["", ""], [" a ", "é"],
+    ])
+    def test_reads_back_as_the_cells(self, cells):
+        line = csv_line(cells)
+        assert line.endswith("\n") and not line.endswith("\r\n")
+        assert list(csv.reader(io.StringIO(line, newline=""))) == [cells]
 
 class TestStandardizer:
     def test_training_columns_centered_and_scaled(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import pickle
 
 import numpy as np
@@ -229,6 +231,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="^need at least one method$"):
             run_experiment({"logical": gen_logical(20)}, [], 1, 0.6, master_seed=1)
 
+    @pytest.mark.parametrize("datasets", [[], {}])
+    def test_empty_dataset_list_rejected(self, datasets):
+        with pytest.raises(ValueError, match="^need at least one dataset$"):
+            run_experiment(datasets, ["br"], 1, 0.6, master_seed=1)
+
     def test_method_config_overrides_respected(self):
         report = run_experiment(
             {"logical": gen_logical(20)},
@@ -257,6 +264,15 @@ class TestReportFormats:
         assert cells[0] == "logical"
         assert len(cells) == 5
         float(cells[1])  # parses
+
+    def test_metric_csv_quotes_names_that_need_it(self):
+        names = ["a,b", 'say "x"', "c\rd", "plain"]
+        report = run_experiment({n: gen_logical(8) for n in names}, ["br"], 1, 0.5, master_seed=1)
+        for metric in ("exact", "hamming"):
+            rows = list(csv.reader(io.StringIO(report.metric_csv(metric), newline="")))
+            assert rows[0] == ["dataset", "br", "br_rank"]
+            assert [row[0] for row in rows[1:]] == names
+            assert {len(row) for row in rows} == {3}
 
     def test_table_text_mentions_protocol(self, report):
         text = report.table_text()

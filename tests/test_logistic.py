@@ -1,11 +1,14 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcascade.data import SynthNetSpec, gen_logical, load_csv
+from mlcascade.evaluate import run_experiment
 from mlcascade.logistic import (
     LinearModel,
     TrainConfig,
@@ -14,6 +17,11 @@ from mlcascade.logistic import (
     sigmoid,
     train_logistic,
 )
+from mlcascade.methods import MethodConfig
+from mlcascade.synth import (LabelIndicatorSet, RandomProjection, TLUCascade, init_cascade,
+                             sample_indicators)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 AND_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 AND_Y = np.array([0, 0, 0, 1])
@@ -335,3 +343,36 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(l2_penalty=-1.0)
+
+
+# Every integer lower bound of the package, checked by at_least: a call that
+# sets the bounded value, the value's name and its least value.
+LOWER_BOUNDS = [
+    pytest.param(lambda v: TrainConfig(epochs=v), "epochs", 1, id="TrainConfig.epochs"),
+    *(pytest.param(lambda v, f=f: MethodConfig(**{f: v}), f, least, id=f"MethodConfig.{f}")
+      for f, least in [("synthetic_count", 0), ("indicator_count", 0), ("subset_size", 1),
+                       ("seed", 0)]),
+    *(pytest.param(lambda v, f=f: SynthNetSpec(**{"D": 1, "L": 1, "N": 1, f: v}), f, least,
+                   id=f"SynthNetSpec.{f}")
+      for f, least in [("D", 1), ("L", 1), ("N", 1), ("hidden_units", 0), ("seed", 0)]),
+    *(pytest.param(lambda v, cls=cls: cls(D=1, H=0, seed=v, weights=[], thresholds=[]),
+                   "seed", 0, id=f"{cls.__name__}.seed")
+      for cls in (TLUCascade, RandomProjection)),
+    pytest.param(lambda v: LabelIndicatorSet(n_labels=1, seed=v, entries=[]), "seed", 0,
+                 id="LabelIndicatorSet.seed"),
+    pytest.param(lambda v: init_cascade(np.zeros((2, 1)), v, seed=0), "H", 0,
+                 id="init_cascade.H"),
+    pytest.param(lambda v: sample_indicators(np.zeros((2, 1), dtype=int), v, 1, seed=0),
+                 "n_nodes", 0, id="sample_indicators.n_nodes"),
+    pytest.param(lambda v: run_experiment({"logical": gen_logical(8)}, ["br"], v, 0.5, 1),
+                 "iterations", 1, id="run_experiment.iterations"),
+    pytest.param(lambda v: load_csv(DATA / "br-predictions.csv", v), "label_count", 0,
+                 id="load_csv.label_count"),
+]
+
+
+@pytest.mark.parametrize("make, name, least", LOWER_BOUNDS)
+def test_every_integer_lower_bound_reads_one_way(make, name, least):
+    with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+        make(least - 1)
+    make(least)

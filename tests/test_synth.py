@@ -77,7 +77,7 @@ class TestCascadeConstruction:
             init_cascade(np.empty((0, 3)), 2, seed=0)
 
     def test_negative_width_rejected(self, train_X):
-        with pytest.raises(ValueError, match="^H must be >= 0$"):
+        with pytest.raises(ValueError, match="^H must be >= 0, got -1$"):
             init_cascade(train_X, -1, seed=0)
 
     def test_mask_sparsity(self):
@@ -248,7 +248,7 @@ class TestSampleIndicators:
 
     @pytest.mark.parametrize("Y, n_nodes, message", [
         (np.zeros(3, dtype=int), 2, "train_Y must be a nonempty 2-D matrix"),
-        (np.zeros((5, 3), dtype=int), -1, "n_nodes must be >= 0"),
+        (np.zeros((5, 3), dtype=int), -1, "n_nodes must be >= 0, got -1"),
     ])
     def test_bad_labels_or_node_count_rejected(self, Y, n_nodes, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
