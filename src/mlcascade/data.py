@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .logistic import at_least
+from .logistic import at_least, one_blas_thread
 
 
 class CsvFormatError(ValueError):
@@ -144,19 +144,23 @@ def gen_synthetic(spec: SynthNetSpec) -> Dataset:
     At most one N x hidden_units matrix is held: the ReLU is applied in
     place, and the hidden layer is dropped once the readout is computed.
     Each product is one matrix product over all rows, as a split into row
-    blocks could change the kernel BLAS picks and with it the bits.
+    blocks could change the kernel BLAS picks and with it the bits.  Both
+    run on one BLAS thread (one_blas_thread): so the data are the same on
+    every core count, and a threaded GEMM neither stalls nor touches the
+    memory of a second thread.
     """
     rng = np.random.default_rng(spec.seed)
     X = rng.standard_normal((spec.N, spec.D))
-    if spec.hidden_units > 0:
-        V = rng.standard_normal((spec.hidden_units, spec.D))
-        hidden = X @ V.T
-        np.maximum(hidden, 0.0, out=hidden)
-    else:
-        hidden = X
-    U = rng.standard_normal((spec.L, hidden.shape[1]))
-    scores = hidden @ U.T
-    del hidden
+    with one_blas_thread():
+        if spec.hidden_units > 0:
+            V = rng.standard_normal((spec.hidden_units, spec.D))
+            hidden = X @ V.T
+            np.maximum(hidden, 0.0, out=hidden)
+        else:
+            hidden = X
+        U = rng.standard_normal((spec.L, hidden.shape[1]))
+        scores = hidden @ U.T
+        del hidden
     # The median of each column, (lo + hi) / 2 of its two middle values (one
     # value twice for odd N), as np.median takes it but without importing
     # numpy.ma; at most the sign of a zero threshold differs, so the labels

@@ -8,7 +8,12 @@ bitwise identical models.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +97,45 @@ def at_least(name: str, value: int, least: int) -> None:
     to name from that first word."""
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The get and set thread-count functions of numpy's bundled OpenBLAS, or
+    None when no library in numpy.libs exports them.  The names are tried in
+    the order bench/harness.py's blas_info tries them."""
+    for lib_path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                           "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(lib_path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get, set_ = getattr(lib, name, None), getattr(lib, name.replace("get", "set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, and restore
+    its thread count on the way out, an exception included.
+
+    A threaded GEMV can sum in another order than one thread does (a fit's
+    X.T @ err from about 5000x100 up), so a fit in this block trains to the
+    same bits on every core count; a threaded GEMM can also stall for
+    milliseconds on small shapes, and it touches more memory.  Without the
+    OpenBLAS functions (another BLAS) the block runs as it is.  The thread
+    count is the process's, so two Python threads must not be in such
+    blocks at once."""
+    get, set_ = _blas_thread_calls() or (lambda: None, lambda threads: None)
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
 
 
 def with_bit_columns(X: np.ndarray, H: int) -> np.ndarray:

@@ -169,7 +169,8 @@ def _apply_units(units: _ThresholdUnits, x: np.ndarray) -> np.ndarray:
     unit reads [x, z_1..z_{k-1}] and a projection's unit reads x alone.
 
     Each unit is one GEMV on its column prefix, as in _draw_units, not one
-    matrix-matrix product over all units: OpenBLAS's threaded GEMM can stall
+    matrix-matrix product over all units: this runs at prediction time on
+    the default BLAS thread count, where OpenBLAS's threaded GEMM can stall
     for milliseconds on small shapes (see the README's kernel rule)."""
     D = units.D
     inputs = with_bit_columns(as_rows(x, D), units.H)

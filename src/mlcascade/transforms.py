@@ -14,7 +14,8 @@ from typing import Any, Callable, ClassVar
 import numpy as np
 
 from .data import Dataset
-from .logistic import LinearModel, TrainConfig, as_rows, train_logistic, with_bit_columns
+from .logistic import (LinearModel, TrainConfig, as_rows, one_blas_thread, train_logistic,
+                       with_bit_columns)
 
 
 @dataclass
@@ -148,13 +149,17 @@ def fit_layer(design: np.ndarray, targets: np.ndarray, widths: list[int], names:
     unit reads all of it, so its weights do not depend on the memory layout
     of the design it was given.  A ValueError from unit j's fit is re-raised
     prefixed with names[j].
+
+    The fits run on one BLAS thread (one_blas_thread), so a unit trains to
+    the same weights on every core count.
     """
     models = []
-    for j, (width, name) in enumerate(zip(widths, names, strict=True)):
-        try:
-            models.append(train_logistic(design[:, :width], targets[:, j], config))
-        except ValueError as e:
-            raise ValueError(f"{name}: {e}") from None
+    with one_blas_thread():
+        for j, (width, name) in enumerate(zip(widths, names, strict=True)):
+            try:
+                models.append(train_logistic(design[:, :width], targets[:, j], config))
+            except ValueError as e:
+                raise ValueError(f"{name}: {e}") from None
     return models
 
 

@@ -6,10 +6,17 @@
 Each checkout runs the grid below in its own Python subprocess, with
 PYTHONPATH set to its src directory, and prints one SHA-256 hash per
 artifact.  The tool prints every artifact whose hash differs between the two
-sides (or that one side lacks), with its grid point, and a summary line; it
-exits 0 when no artifact differs, 1 when one does and 2 when a side fails to
-run the grid.  The grid is fixed here: a change may add points but must not
-remove any.  Both sides take about 75 s in all on a 2-vCPU VM.
+sides (or that one side lacks), with its grid point, and a summary line.
+
+The change runs the grid a second time with OPENBLAS_NUM_THREADS=1 in its
+subprocess's environment, and the tool prints every artifact whose hash
+differs from the change's run on the default thread count, and a second
+summary line: every fit and every generated dataset is meant to be the
+one-thread result on any core count.
+
+It exits 0 when no artifact differs in either comparison, 1 when one does
+and 2 when a run fails.  The grid is fixed here: a change may add points but
+must not remove any.  The three runs take about 160 s in all on a 2-vCPU VM.
 
 The grid:
   - gen_logical(20);
@@ -134,11 +141,14 @@ def hash_grid() -> None:
 
 # --- the comparing side --------------------------------------------------------
 
-def run_side(checkout: Path, grid: list) -> dict[str, str]:
-    """The hash of each artifact of grid, by label, computed by checkout's code."""
+def run_side(checkout: Path, grid: list, one_thread: bool = False) -> dict[str, str]:
+    """The hash of each artifact of grid, by label, computed by checkout's
+    code; with one_thread, on one OpenBLAS thread."""
     code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import bit_identity; " \
            "bit_identity.hash_grid()"
     env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
+    if one_thread:
+        env["OPENBLAS_NUM_THREADS"] = "1"
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(grid), env=env,
                               cwd=tmp, capture_output=True, text=True)
@@ -153,17 +163,28 @@ def run_side(checkout: Path, grid: list) -> dict[str, str]:
     return hashes
 
 
+def _differing(tag: str, sides: dict[str, dict[str, str]]) -> tuple[int, int]:
+    """Print a line for every label whose hash differs between the two sides
+    (named by sides' keys); return the counts of differing and of all labels."""
+    (a, left), (b, right) = sides.items()
+    labels = list(dict.fromkeys([*left, *right]))
+    differ = [k for k in labels if left.get(k) != right.get(k)]
+    for k in differ:
+        print(f"{tag}  {k}  {a} {left.get(k, 'missing')}  {b} {right.get(k, 'missing')}")
+    return len(differ), len(labels)
+
+
 def report(parent: Path, change: Path, grid: list) -> int:
     """Print every artifact of grid whose hash differs between the parent and
-    the change, then a summary; return the exit code."""
+    the change, then a summary; then every artifact whose hash the change
+    gives otherwise on one BLAS thread, then a summary; return the exit code."""
     hashes = {"parent": run_side(parent, grid), "change": run_side(change, grid)}
-    labels = list(dict.fromkeys([*hashes["parent"], *hashes["change"]]))
-    differ = [k for k in labels if hashes["parent"].get(k) != hashes["change"].get(k)]
-    for k in differ:
-        print(f"DIFFERS  {k}  parent {hashes['parent'].get(k, 'missing')}  "
-              f"change {hashes['change'].get(k, 'missing')}")
-    print(f"{len(differ)} of {len(labels)} artifacts differ over {len(grid)} grid points")
-    return 1 if differ else 0
+    differ, total = _differing("DIFFERS", hashes)
+    print(f"{differ} of {total} artifacts differ over {len(grid)} grid points")
+    one_differ, total = _differing("THREADS", {"default": hashes["change"],
+                                               "one-thread": run_side(change, grid, True)})
+    print(f"{one_differ} of {total} artifacts of the change differ on one BLAS thread")
+    return 1 if differ or one_differ else 0
 
 
 def main(argv: list[str] | None = None) -> int:
