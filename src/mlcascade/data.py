@@ -129,6 +129,15 @@ def gen_logical(n_rows: int) -> Dataset:
     return Dataset(X, Y, ["x1", "x2"], ["or", "and", "xor"])
 
 
+# Rows per block of gen_synthetic's hidden layer.  On a 2-vCPU VM, blocks of
+# 256 to 2048 rows drew the benchmark's specs and N=100000 draws within ~15%
+# of each other's time.  With 1024, benchmark `predict` runs peaked ~0.5 MB
+# lower than with 512 and took fewer page faults per op: glibc's malloc
+# raises its mmap threshold to the largest block freed, so more of the
+# arrays made later reuse heap pages.
+GEN_BLOCK_ROWS = 1024
+
+
 def gen_synthetic(spec: SynthNetSpec) -> Dataset:
     """Random dataset whose labels come from threshold units over the features.
 
@@ -141,26 +150,36 @@ def gen_synthetic(spec: SynthNetSpec) -> Dataset:
     Draw order (fixed contract): features, then the hidden-layer weights if
     any, then the readout weights.
 
-    At most one N x hidden_units matrix is held: the ReLU is applied in
-    place, and the hidden layer is dropped once the readout is computed.
-    Each product is one matrix product over all rows, as a split into row
-    blocks could change the kernel BLAS picks and with it the bits.  Both
-    run on one BLAS thread (one_blas_thread): so the data are the same on
+    The readout scores are computed GEN_BLOCK_ROWS rows at a time, so the
+    hidden layer is never held whole: the memory is O(N * (D + L)) for the
+    features, scores and labels plus O(GEN_BLOCK_ROWS * hidden_units) for
+    one block of the hidden layer, not O(N * hidden_units).  The products
+    run on one BLAS thread (one_blas_thread), so the data are the same on
     every core count, and a threaded GEMM neither stalls nor touches the
     memory of a second thread.
+
+    What stays the same as with one product over all rows is the output:
+    X and Y, byte for byte, on every spec tried (the benchmark's, the block
+    edges, wide hidden layers and wide features).  The scores need not:
+    BLAS picks its edge kernels by the shape of a block, so a score can
+    differ in its last bit (88 of 122880 at D=50, L=30, N=4096,
+    hidden_units=300).  A label changes only if such a bit moves a score
+    across its column's median, which none of those specs showed.
     """
     rng = np.random.default_rng(spec.seed)
     X = rng.standard_normal((spec.N, spec.D))
+    # (0, D) for the linear variant: an empty draw leaves rng as it is.
+    V = rng.standard_normal((spec.hidden_units, spec.D))
+    U = rng.standard_normal((spec.L, spec.hidden_units or spec.D))
+    scores = np.empty((spec.N, spec.L))
     with one_blas_thread():
-        if spec.hidden_units > 0:
-            V = rng.standard_normal((spec.hidden_units, spec.D))
-            hidden = X @ V.T
-            np.maximum(hidden, 0.0, out=hidden)
-        else:
-            hidden = X
-        U = rng.standard_normal((spec.L, hidden.shape[1]))
-        scores = hidden @ U.T
-        del hidden
+        for lo in range(0, spec.N, GEN_BLOCK_ROWS):
+            blk = slice(lo, lo + GEN_BLOCK_ROWS)
+            hidden = X[blk]
+            if spec.hidden_units:
+                hidden = hidden @ V.T
+                np.maximum(hidden, 0.0, out=hidden)
+            np.matmul(hidden, U.T, out=scores[blk])
     # The median of each column, (lo + hi) / 2 of its two middle values (one
     # value twice for odd N), as np.median takes it but without importing
     # numpy.ma; at most the sign of a zero threshold differs, so the labels

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcascade.data import (
+    GEN_BLOCK_ROWS,
     CsvFormatError,
     Dataset,
     StandardizationParams,
@@ -334,6 +335,18 @@ class TestGenSynthetic:
     @example(2, 10, 2000, 100, 1)  # the benchmark's three draws
     @example(2, 10, 2000, 0, 1)
     @example(10, 10, 7000, 100, 1)
+    # The block edges: one row short of a block, one block, one row over (a
+    # 1-row product after a full block) and two blocks and a row.
+    @example(2, 10, GEN_BLOCK_ROWS - 1, 100, 1)
+    @example(2, 10, GEN_BLOCK_ROWS, 100, 1)
+    @example(2, 10, GEN_BLOCK_ROWS + 1, 100, 1)
+    @example(2, 10, 2 * GEN_BLOCK_ROWS + 1, 100, 1)
+    @example(3, 5, GEN_BLOCK_ROWS + 7, 2000, 2)  # a wide hidden layer
+    @example(300, 4, 2 * GEN_BLOCK_ROWS + 3, 40, 3)  # wide features
+    @example(7, 6, 3 * GEN_BLOCK_ROWS + 5, 0, 4)  # the linear variant over several blocks
+    # Block scores differ from the whole product in the last bit of some
+    # cells here (BLAS picks edge kernels by block shape); the labels must not.
+    @example(50, 30, 4096, 300, 1)
     def test_matches_reference(self, D, L, N, hidden, seed):
         spec = SynthNetSpec(D=D, L=L, N=N, hidden_units=hidden, seed=seed)
         got, want = gen_synthetic(spec), reference_gen_synthetic(spec)
@@ -347,6 +360,14 @@ class TestGenSynthetic:
         spec = SynthNetSpec(D=10, L=10, N=20000, hidden_units=100, seed=1)
         hidden_bytes = spec.N * spec.hidden_units * 8
         assert traced_peak(lambda: gen_synthetic(spec)) < 1.5 * hidden_bytes
+
+    @pytest.mark.parametrize("N", [8000, 32000])
+    def test_memory_does_not_grow_with_the_hidden_layer(self, N):
+        # The outputs and the scores take ~0.04 of one N x hidden matrix here,
+        # and one block of the hidden layer is a fixed number of bytes.
+        spec = SynthNetSpec(D=4, L=4, N=N, hidden_units=400, seed=1)
+        hidden_bytes = spec.N * spec.hidden_units * 8
+        assert traced_peak(lambda: gen_synthetic(spec)) < 0.25 * hidden_bytes
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ one-thread result on any core count.
 
 It exits 0 when no artifact differs in either comparison, 1 when one does
 and 2 when a run fails.  The grid is fixed here: a change may add points but
-must not remove any.  The three runs take about 160 s in all on a 2-vCPU VM.
+must not remove any.  The three runs take about 2 minutes in all on a 2-vCPU VM.
 
 The grid:
   - gen_logical(20);
@@ -29,7 +29,13 @@ The grid:
     0.6) and on a small synthetic spec, at master seeds 1-10;
   - for each method, the bytes of the model file that `mlcascade train`
     writes and of the predictions file that `mlcascade predict` writes with
-    it, on the logical set and on the small synthetic spec.
+    it, on the logical set and on the small synthetic spec;
+  - gen_synthetic on a spec of 3073 rows (three blocks of 1024 rows and a
+    1-row remainder) with 1000 hidden units, at seeds 1-3;
+  - the `train` and `predict` bytes of br on a 5000 x 100 draw, a shape
+    where a fit's threaded gradient product sums in another order than one
+    thread does, so the one-thread run tells a pinned fit from an unpinned
+    one.
 """
 
 import argparse
@@ -47,7 +53,8 @@ TOOLS = Path(__file__).resolve().parent
 METHODS = ("br", "cc", "ccasl", "ccasl+br", "ccasl+aml", "elm")
 # SynthNetSpec fields (D, L, N, hidden_units) of each generated dataset.
 SPECS = {"complex": (2, 10, 2000, 100), "linear": (2, 10, 2000, 0),
-         "predict": (10, 10, 7000, 100), "small": (3, 4, 120, 10)}
+         "predict": (10, 10, 7000, 100), "small": (3, 4, 120, 10),
+         "blocks": (5, 8, 3073, 1000), "wide": (100, 3, 5000, 200)}
 # run_experiment's (iterations, split_fraction) per dataset.
 PROTOCOLS = {"logical": (10, 0.6), "small": (2, 0.5)}
 
@@ -57,6 +64,8 @@ GRID = [
       for seed in range(1, 21)),
     *(["run_experiment", dataset, seed] for dataset in PROTOCOLS for seed in range(1, 11)),
     *(["train_predict", method, dataset] for method in METHODS for dataset in PROTOCOLS),
+    *(["gen_synthetic", "blocks", seed] for seed in range(1, 4)),
+    ["train_predict", "br", "wide"],
 ]
 
 
