@@ -131,7 +131,7 @@ class CCASLAMLModel:
         return _chain_bits(self.cascade, self.middle, self.cascade_at_test, X)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.output.predict(np.hstack([x, self.middle_bits(x).astype(float)]))
+        return self.output.predict(np.hstack([x, self.middle_bits(x)]))
 
 
 @dataclass
@@ -156,7 +156,7 @@ class ELMBRModel:
         return self.projection.D
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.br.predict(np.hstack([x, apply_projection(self.projection, x).astype(float)]))
+        return self.br.predict(np.hstack([x, apply_projection(self.projection, x)]))
 
 
 def _chain_bits(cascade: TLUCascade, chain: CCModel, cascade_at_test: bool,

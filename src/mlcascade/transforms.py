@@ -99,8 +99,10 @@ class CCModel:
             inputs[:, D : D + n_known] = prefix
         for j in range(n_known, self.n_labels):
             inputs[:, D + j] = self.models[j].predict_bit(inputs[:, : D + j])
-        # Label column k is the bit of the chain position that predicts it.
-        return inputs[:, D + np.argsort(self.label_order)].astype(np.int64)
+        # Label column label_order[j] is the bit of chain position j.
+        out = np.empty((n, self.n_labels), np.int64)
+        out[:, self.label_order] = inputs[:, D:]
+        return out
 
 
 @dataclass
@@ -128,7 +130,7 @@ class StackedModel:
         return self.meta.n_labels
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.meta.predict(np.hstack([x, self.first_layer.predict(x).astype(float)]))
+        return self.meta.predict(np.hstack([x, self.first_layer.predict(x)]))
 
 
 def check_sizes(*pairs: tuple[str, int, str, int]) -> None:
@@ -188,7 +190,7 @@ def train_cc(
         raise ValueError(f"label_order must be a permutation of 0..{L - 1}")
     D = dataset.n_features
     # [x | y in chain order], cut to the last position's D + L - 1 columns.
-    design = np.hstack([dataset.X, dataset.Y[:, order[:-1]].astype(float)])
+    design = np.hstack([dataset.X, dataset.Y[:, order[:-1]]])
     names = [f"chain position {j} (target {dataset.label_names[k]!r})"
              for j, k in enumerate(order)]
     models = fit_layer(design, dataset.Y[:, order], list(range(D, D + L)), names, config)
@@ -214,6 +216,6 @@ def train_stack(
 def train_br_over(dataset: Dataset, bits: np.ndarray, config: TrainConfig = TrainConfig()) -> BRModel:
     """Binary relevance over [x, bits], as in the layer that stacking, elm and
     the AML output put over extra bits."""
-    wide = Dataset(np.hstack([dataset.X, bits.astype(float)]), dataset.Y,
+    wide = Dataset(np.hstack([dataset.X, bits]), dataset.Y,
                    label_names=list(dataset.label_names))
     return train_br(wide, config)

@@ -22,10 +22,11 @@ from mlcascade.methods import (
     save_model,
     train_ccasl,
     train_ccasl_aml,
+    train_ccasl_br,
     train_elm_br,
     train_method,
 )
-from mlcascade.synth import apply_cascade
+from mlcascade.synth import apply_cascade, apply_projection
 from mlcascade.transforms import train_br, train_br_over, train_cc
 
 BASE = TrainConfig(epochs=5, learning_rate=0.5)
@@ -154,7 +155,13 @@ def test_cascade_at_test_feeds_the_cascade_bits_to_the_chain(h, hp, n, d, L, see
     aml = train_ccasl_aml(ds, cfg)
     fed = aml.middle.predict(probe, prefix=apply_cascade(aml.cascade, probe))
     assert np.array_equal(aml.middle_bits(probe), fed)
-    assert np.array_equal(aml.predict(probe), aml.output.predict(np.hstack([probe, fed])))
+    # Every two-layer method's output layer reads [x | the bits its first layer gives].
+    stack = train_ccasl_br(ds, cfg)
+    elm = train_elm_br(ds, cfg)
+    for model, output, bits in ((aml, aml.output, fed),
+                                (stack, stack.meta, stack.first_layer.predict(probe)),
+                                (elm, elm.br, apply_projection(elm.projection, probe))):
+        assert np.array_equal(model.predict(probe), output.predict(np.hstack([probe, bits])))
     # The output layer was fit on the bits the same rule gives on the training rows.
     train_bits = aml.middle.predict(ds.X, prefix=apply_cascade(aml.cascade, ds.X))
     for a, b in zip(aml.output.models, train_br_over(ds, train_bits, BASE).models, strict=True):

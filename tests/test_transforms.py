@@ -12,6 +12,7 @@ from mlcascade.transforms import (
     train_cc,
     train_stack,
 )
+from test_data import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,17 @@ class TestClassifierChain:
         free = cc.predict(combos)
         forced = cc.predict(combos, prefix=free[:, :1].astype(float))
         assert np.array_equal(free, forced)
+
+    @pytest.mark.parametrize("n, D, L", [(4000, 5, 20), (2000, 3, 40)])
+    def test_predict_holds_one_matrix_and_one_result(self, n, D, L):
+        # Beside [x | bits], only the int64 result is allocated in full: no
+        # reordered float copy of the bits is cast to make it.
+        rng = np.random.default_rng(L)
+        models = [LinearModel(rng.normal(size=D + j + 1)) for j in range(L)]
+        cc = CCModel(models, label_order=rng.permutation(L), input_dim=D)
+        x = rng.normal(size=(n, D))
+        result_bytes = n * L * 8
+        assert traced_peak(lambda: cc.predict(x)) < n * (D + L) * 8 + 1.25 * result_bytes
 
     @pytest.mark.parametrize("rows, width", [(4, 4), (3, 1)], ids=["wider", "fewer-rows"])
     def test_prefix_that_does_not_fit_is_rejected(self, logical, rows, width):
