@@ -100,6 +100,21 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_margin_over_the_parent_iqr()
     assert _claim(ab_bench.summarize(pairs, METRICS), "cells_per_s") == "GAIN"
 
 
+def test_fewer_than_ten_pairs_never_claim_a_gain():
+    # Five pairs, each won by the change by far more than the parent's IQR:
+    # every rule but the pair count is met.
+    parent = [1.0 + 0.1 * k for k in range(5)]
+    pairs = [{"parent": _result(p, 100.0), "change": _result(p - 0.5, 200.0)} for p in parent]
+    lines = ab_bench.summarize(pairs, METRICS)
+    assert "0:5" in _row(lines, "op_s.p50").split() and "0:5" in _row(lines, "cells_per_s").split()
+    assert _claim(lines, "op_s.p50") == "-"
+    assert _claim(lines, "cells_per_s") == "-"
+    # The same margin over ten pairs claims.
+    parent = [1.0 + 0.1 * k for k in range(10)]
+    pairs = [{"parent": _result(p, 100.0), "change": _result(p - 0.5, 200.0)} for p in parent]
+    assert _claim(ab_bench.summarize(pairs, METRICS), "op_s.p50") == "GAIN"
+
+
 def test_verdict_is_unresolved_where_the_parent_spreads_wider_than_the_bound():
     # Parent op_s over four pairs: quartiles 1.1 / 1.5 / 1.9, an IQR of 53%
     # of the median, wider than the 25% bound.
@@ -201,12 +216,21 @@ def _run(op_s, seed, golden=None):
     return run
 
 
+def _traced_run(fit_calls, correct=True):
+    """A canned --trace 1 run as run_bench returns it."""
+    return {"correct": correct, "attempted": 4, "failed": 0, "env": {"seed": 1},
+            "metrics": {"logistic.fit.calls": {"value": fit_calls, "unit": "count"},
+                        "logistic.fit.self_s": {"value": 0.5, "unit": "s"}}}
+
+
 def test_record_holds_the_summary_as_data(tmp_path, monkeypatch, capsys):
     golden = "golden check (seed 1): 0 of 52 cells differ"
-    runs = {("parent", 1): _run(2.0, 1, golden), ("change", 1): _run(1.0, 1, golden),
-            ("parent", 2): _run(3.0, 2), ("change", 2): _run(1.5, 2)}
+    runs = {("parent", 1, 0): _run(2.0, 1, golden), ("change", 1, 0): _run(1.0, 1, golden),
+            ("parent", 2, 0): _run(3.0, 2), ("change", 2, 0): _run(1.5, 2),
+            ("parent", 1, 1): _traced_run(360.0), ("change", 1, 1): _traced_run(360.0)}
     monkeypatch.setattr(ab_bench, "run_bench",
-                        lambda checkout, workload, seed, seconds: runs[checkout.name, seed])
+                        lambda checkout, workload, seed, seconds, trace=0:
+                        runs[checkout.name, seed, trace])
     (tmp_path / "parent").mkdir()
     (tmp_path / "change").mkdir()
     path = tmp_path / "BENCH_logical.json"
@@ -227,15 +251,77 @@ def test_record_holds_the_summary_as_data(tmp_path, monkeypatch, capsys):
     assert op["name"] == "op_s.p50" and op["better"] == "lower" and op["bound"] == 0.25
     assert op["quartiles"] == {"parent": [2.25, 2.5, 2.75], "change": [1.125, 1.25, 1.375]}
     assert op["wins"] == {"parent": 0, "change": 2}
-    assert (op["claim"], op["verdict"]) == ("GAIN", "within bound")
+    # Two pairs won by the change are too few to claim a gain.
+    assert (op["claim"], op["verdict"]) == ("-", "within bound")
     assert entry["wall_clock"]["op_s.p50"]["change"] == [1.0125, 1.125, 1.2375]
     assert entry["ops"] == {side: {"failed": 0, "attempted": 20, "correct_runs": 2}
                             for side in ("parent", "change")}
     assert entry["failed_ops"] == "not worse"
-    # The printed summary is the entry's comparison, line for line.
+    assert entry["per_layer"] == {"seed": 1, "seconds": 5.0, **{
+        side: {"correct": True, "logistic.fit.calls": 360.0,
+               "metrics": {"logistic.fit.calls": 360.0, "logistic.fit.self_s": 0.5},
+               "golden": []}
+        for side in ("parent", "change")}}
+    # The printed summary is the entry's comparison, line for line: the traced
+    # runs add no line to it.
     out = capsys.readouterr().out.splitlines()
-    assert out[1:] == ab_bench.summarize([{"parent": runs["parent", k], "change": runs["change", k]}
+    assert out[1:] == ab_bench.summarize([{"parent": runs["parent", k, 0],
+                                           "change": runs["change", k, 0]}
                                           for k in (1, 2)], spec["end_to_end"])
+
+
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed, trace = int(args["--seed"]), int(args["--trace"])
+with open(Path(__file__).parent / "calls.txt", "a") as calls:
+    calls.write(f"{seed} {trace}\\n")
+print(json.dumps({"env": {"seed": seed, "traced": bool(trace)}}))
+if seed == 1:
+    print("golden check (seed 1): 0 of 52 cells differ")
+if trace:
+    metrics = {"logistic.fit.calls": FIT_CALLS, "logistic.fit.self_s": 0.25}
+else:
+    print(json.dumps({"wall_clock": {"op_s.p50": OP_S, "reference_s.p50": 0.02}}))
+    metrics = {"op_s.p50": OP_S, "cells_per_s": 10.0 / OP_S, "success_rate": 1.0}
+print(json.dumps({"correct": CORRECT or not trace, "attempted": 4, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}))
+"""
+
+
+def test_record_adds_one_traced_run_per_side_after_the_pairs(tmp_path):
+    # Stub benchmarks that log each run's seed and trace flag: the change's
+    # traced run fails its correctness check and makes more fits.
+    sides = {"parent": (2.0, 360, True), "change": (1.0, 400, False)}
+    for side, (op_s, fit_calls, correct) in sides.items():
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(
+            STUB_RUN.replace("FIT_CALLS", str(fit_calls)).replace("OP_S", str(op_s))
+            .replace("CORRECT", str(correct)), encoding="utf-8")
+    path = tmp_path / "BENCH_logical.json"
+    assert ab_bench.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "logical", "--pairs", "3",
+                          "--seconds", "2", "--seed", "1", "--record", str(path)]) == 0
+    for side in sides:
+        calls = (tmp_path / side / "bench" / "calls.txt").read_text().split("\n")
+        # Three untraced pairs at seeds 1-3, then one traced run at pair 1's seed.
+        assert calls == ["1 0", "2 0", "3 0", "1 1", ""]
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    golden = ["golden check (seed 1): 0 of 52 cells differ"]
+    assert entry["per_layer"] == {
+        "seed": 1, "seconds": 2.0,
+        "parent": {"correct": True, "logistic.fit.calls": 360,
+                   "metrics": {"logistic.fit.calls": 360, "logistic.fit.self_s": 0.25},
+                   "golden": golden},
+        "change": {"correct": False, "logistic.fit.calls": 400,
+                   "metrics": {"logistic.fit.calls": 400, "logistic.fit.self_s": 0.25},
+                   "golden": golden}}
+    # The traced runs stay out of the pairs: their golden lines and env lines
+    # are not the pairs', and every pair counts as correct.
+    assert [env["traced"] for env in entry["env"]["change"]] == [False] * 3
+    assert entry["golden"]["change"] == golden
+    assert entry["ops"]["change"]["correct_runs"] == 3
 
 
 def test_commit_id_marks_changed_files_and_ignores_a_subdirectory(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcascade.data import SynthNetSpec, gen_logical, load_csv
@@ -167,6 +167,19 @@ class TestGradient:
             rel = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
             assert rel < 1e-5
 
+    @settings(max_examples=400, deadline=None)
+    @given(fit_problems())
+    def test_one_epoch_from_zero_is_a_step_down_the_gradient(self, problem):
+        # The gradient acceptance gate 7 checks is the one the fit descends:
+        # from zero weights, the L2 term is zero and one epoch is exactly
+        # -lr times the mean gradient, bias first.
+        X, y, config = problem
+        n, d = X.shape
+        lr, l2 = config.learning_rate, config.l2_penalty
+        got = train_logistic(X, y, TrainConfig(learning_rate=lr, epochs=1, l2_penalty=l2))
+        want = 0.0 - lr * (cross_entropy_grad(LinearModel(np.zeros(d + 1)), X, y) / n)
+        assert_same_bits(got.weights, want)
+
 
 class TestTrainLogistic:
     def test_constant_zero_targets(self):
@@ -240,6 +253,9 @@ class TestTrainLogistic:
                 train_logistic(AND_X, AND_Y, TrainConfig(learning_rate=lr))
         message = str(e.value)
         assert f"epoch {first} of 1000" in message
+        with np.errstate(all="ignore"):
+            bias = reference_fit(AND_X, AND_Y, TrainConfig(lr, first))[0]
+        assert f"the bias is {bias} " in message
         assert "learning_rate=1e+30" in message
         assert "n=4, d=2" in message
 
@@ -249,6 +265,11 @@ class TestBitExactness:
 
     @settings(max_examples=300, deadline=None)
     @given(fit_problems())
+    # The bias slot's sign of zero: all-0 and all-1 targets, and one epoch on
+    # as many 0 as 1 targets, whose errors cancel and leave the bias at +0.0.
+    @example((AND_X, np.zeros(4), TrainConfig()))
+    @example((AND_X, np.ones(4), TrainConfig()))
+    @example((AND_X, XOR_Y.astype(float), TrainConfig(epochs=1)))
     def test_random_problems(self, problem):
         X, y, config = problem
         # The fit reads a C-contiguous copy of X, whatever X's layout.

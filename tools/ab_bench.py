@@ -19,10 +19,11 @@ worse reads "unresolved" when the parent's interquartile range is wider than
 the bound, as a fraction of its median, so its runs spread too widely to tell
 a change within the bound from none, unless every run of the change is
 better than every run of the parent; else it reads "within bound".  The
-claim column reads GAIN when the change won at least nine tenths of the
-pairs and its median is better than the parent's by more than the parent's
-interquartile range, and the change failed no larger a share of its ops
-than the parent, the rule a claimed gain must meet; else it reads "-".
+claim column reads GAIN when at least ten pairs were run, the change won at
+least nine tenths of them and its median is better than the parent's by
+more than the parent's interquartile range, and the change failed no larger
+a share of its ops than the parent, the rule a claimed gain must meet; else
+it reads "-".
 It also gives each side's failed and attempted op counts, and a failed-ops
 line that reads WORSE when the change failed a larger share of its ops than
 the parent.  Under the metric rows, two informational rows give each side's
@@ -34,7 +35,12 @@ what the benchmark itself writes.
 With --record PATH the tool also writes the comparison to PATH as one JSON
 entry (see record): each side's commit id (null outside a git checkout) and
 env lines, each metric's quartiles, wins, claim and verdict, the wall-clock
-quartiles, the op counts and the seed-1 golden-check lines.
+quartiles, the op counts and the seed-1 golden-check lines.  After the pairs
+it then runs each side once more with --trace 1, at pair 1's seed and for
+the same seconds, and stores that run's per-layer metrics under
+"per_layer", with its correct flag, logistic.fit.calls and golden-check
+lines: a record of where each side's time went, with no wins, claim or
+verdict.
 """
 
 import argparse
@@ -48,14 +54,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 WALL_CLOCK = ("op_s.p50", "reference_s.p50")
+# The fewest pairs a claimed gain may rest on.
+CLAIM_PAIRS = 10
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result object that bench/run.py prints last, run in checkout, with
     the env and wall-clock objects and the golden-check lines it prints
     before it."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -109,8 +117,8 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
                 wins["change" if (b < a) == (better == "lower") else "parent"] += 1
         medians = quartiles["parent"][1], quartiles["change"][1]
         parent_iqr = quartiles["parent"][2] - quartiles["parent"][0]
-        gain = (wins["change"] >= 0.9 * len(pairs) and -loss(*medians, better) > parent_iqr
-                and not more_failed)
+        gain = (len(pairs) >= CLAIM_PAIRS and wins["change"] >= 0.9 * len(pairs)
+                and -loss(*medians, better) > parent_iqr and not more_failed)
         worse = worse_by(*medians, better)
         beats_all = all(loss(a, b, better) < 0 for a in values["parent"] for b in values["change"])
         if worse > bound:
@@ -185,12 +193,22 @@ def commit_id(checkout: Path) -> str | None:
     return head + ("-dirty" if git("status", "--porcelain").stdout else "")
 
 
+def traced(run: dict) -> dict:
+    """What an entry keeps of a side's --trace 1 run: its correct flag, its
+    logistic.fit.calls, every per-layer metric's value by name, and its
+    golden-check lines."""
+    values = {name: m["value"] for name, m in run["metrics"].items()}
+    return {"correct": run["correct"], "logistic.fit.calls": values.get("logistic.fit.calls"),
+            "metrics": values, "golden": run.get("golden", [])}
+
+
 def record(pairs: list[dict], metrics: list[dict], workload: str, seconds: float, seed: int,
-           commits: dict) -> dict:
+           commits: dict, traced_runs: dict) -> dict:
     """The entry --record writes: the runs' settings, each side's commit id
     and the {"env": ...} line of each of its runs in pair order, the
-    comparison that summarize prints, and the golden-check lines of the
-    seed-1 runs."""
+    comparison that summarize prints, the golden-check lines of the seed-1
+    runs, and each side's traced run (traced_runs, by side) under
+    "per_layer"."""
     return {
         "workload": workload,
         "pairs": len(pairs),
@@ -201,6 +219,8 @@ def record(pairs: list[dict], metrics: list[dict], workload: str, seconds: float
         **compare(pairs, metrics),
         "golden": {side: [line for p in pairs for line in p[side].get("golden", [])]
                    for side in SIDES},
+        "per_layer": {"seed": seed, "seconds": seconds,
+                      **{side: traced(traced_runs[side]) for side in SIDES}},
     }
 
 
@@ -229,8 +249,14 @@ def main(argv=None) -> int:
           f"{args.seed}..{args.seed + args.pairs - 1}")
     print("\n".join(summarize(pairs, spec["end_to_end"])))
     if args.record:
+        traced_runs = {}
+        for side in SIDES:
+            traced_runs[side] = run_bench(checkouts[side], args.workload, args.seed, args.seconds,
+                                          trace=1)
+            print(json.dumps({"traced": side, **traced_runs[side]}), file=sys.stderr, flush=True)
         commits = {side: commit_id(checkouts[side]) for side in SIDES}
-        entry = record(pairs, spec["end_to_end"], args.workload, args.seconds, args.seed, commits)
+        entry = record(pairs, spec["end_to_end"], args.workload, args.seconds, args.seed, commits,
+                       traced_runs)
         args.record.write_text(json.dumps(entry, indent=2) + "\n", encoding="utf-8")
     return 0
 
