@@ -236,9 +236,10 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
 
     A file of plain ASCII is first parsed in C by _load_plain_csv; a file
     that it raises on, every file with an error included, goes through
-    csv.reader and float().  A file that is not UTF-8, or that csv.reader
-    rejects (a cell over its field size limit), is a CsvFormatError naming
-    the line.
+    csv.reader and float().  Both parsers end in one table builder, _table,
+    which splits their float table into feature and label columns.  A file
+    that is not UTF-8, or that csv.reader rejects (a cell over its field
+    size limit), is a CsvFormatError naming the line.
     """
     at_least("label_count", label_count, 0)
     with open(path, "rb") as fh:
@@ -278,12 +279,14 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
     feat_idx, lab_idx = _column_ranges(width, label_count, labels_last)
     # One pass, row by row and features before labels within a row: the
     # first cell float() rejects, or the first label other than 0 or 1, is
-    # the error.  Appending to lists is faster here than setting array items.
-    xs, ys = [], []
+    # the error.  The checked cells are appended in that order to one list,
+    # which becomes a table of the features and then the labels: appending
+    # is faster here than writing the cells into an array.
+    cells = []
     for i, row in enumerate(rows):
         for j in feat_idx:
             try:
-                xs.append(float(row[j]))
+                cells.append(float(row[j]))
             except ValueError:
                 raise CsvFormatError(f"{path}: row {i + 2}, column {header[j]!r}: "
                                      f"cannot parse {row[j]!r} as a number") from None
@@ -296,21 +299,15 @@ def load_csv(path: str | Path, label_count: int, labels_last: bool = True) -> Da
             if v not in (0.0, 1.0):
                 raise CsvFormatError(f"{path}: row {i + 2}, label {header[j]!r}: "
                                      f"value {row[j]!r} is not 0 or 1")
-            ys.append(v)
-    X = np.array(xs, dtype=float).reshape(len(rows), len(feat_idx))
-    Y = np.array(ys, dtype=np.int64).reshape(len(rows), label_count)
-    bad = np.argwhere(~np.isfinite(X))
+            cells.append(v)
+    table = np.array(cells, dtype=float).reshape(len(rows), width)
+    bad = np.argwhere(~np.isfinite(table[:, : len(feat_idx)]))
     if len(bad):
         i, j = int(bad[0, 0]), feat_idx[bad[0, 1]]
         raise CsvFormatError(
             f"{path}: row {i + 2}, column {header[j]!r}: value {rows[i][j]!r} is not finite"
         )
-    return Dataset(
-        X,
-        Y,
-        [header[j] for j in feat_idx],
-        [header[j] for j in lab_idx],
-    )
+    return _table([header[j] for j in (*feat_idx, *lab_idx)], table, label_count, True)
 
 
 def _column_ranges(width: int, label_count: int, labels_last: bool) -> tuple[range, range]:
@@ -336,11 +333,12 @@ def _load_plain_csv(raw: bytes, label_count: int, labels_last: bool) -> Dataset:
     float() calls; on plain ASCII they differ only in float()'s underscores,
     which np.loadtxt rejects.  So a file of _PLAIN_BYTES with a data row, no
     empty line, no line over csv's field size limit and width numbers in
-    every row gives the same cells either way.  Dataset then judges them as
-    the csv.reader path does: it raises for a label other than 0 or 1, a
-    feature that is not finite and a table with no feature column, which a
-    label_count of the width or more leaves, unless take has raised
-    IndexError first for a label column past the table.
+    every row gives the same cells either way.  They go to _table, as the
+    csv.reader path's do, and the Dataset it builds judges them as that path
+    does: it raises for a label other than 0 or 1, a feature that is not
+    finite and a table with no feature column, which a label_count of the
+    width or more leaves, unless take has raised IndexError first for a
+    label column past the table.
     """
     if raw.translate(None, _PLAIN_BYTES):
         raise ValueError("not plain ASCII")
@@ -354,13 +352,16 @@ def _load_plain_csv(raw: bytes, label_count: int, labels_last: bool) -> Dataset:
                        dtype=float)
     if cells.shape != (len(lines) - 1, len(names)):
         raise ValueError(f"cells of shape {cells.shape}")
+    return _table(names, cells, label_count, labels_last)
+
+
+def _table(names: list[str], cells: np.ndarray, label_count: int, labels_last: bool) -> Dataset:
+    """The Dataset of the float table cells, whose columns are named names:
+    the trailing label_count columns are its labels (the leading ones when
+    labels_last is False), and the others its features."""
     feat_idx, lab_idx = _column_ranges(len(names), label_count, labels_last)
-    return Dataset(
-        cells.take(feat_idx, axis=1),
-        cells.take(lab_idx, axis=1),
-        [names[j] for j in feat_idx],
-        [names[j] for j in lab_idx],
-    )
+    return Dataset(cells.take(feat_idx, axis=1), cells.take(lab_idx, axis=1),
+                   [names[j] for j in feat_idx], [names[j] for j in lab_idx])
 
 
 def fit_standardizer(train: Dataset) -> StandardizationParams:

@@ -3,6 +3,7 @@ results: no benchmark is run."""
 
 import importlib.util
 import json
+import re
 import subprocess
 from pathlib import Path
 
@@ -231,6 +232,9 @@ def test_record_holds_the_summary_as_data(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ab_bench, "run_bench",
                         lambda checkout, workload, seed, seconds, trace=0:
                         runs[checkout.name, seed, trace])
+    tier1 = {"parent": {"seconds": 70.5, "returncode": 0, "summary": "525 passed in 70.01s"},
+             "change": {"seconds": 71.5, "returncode": 0, "summary": "530 passed in 71.02s"}}
+    monkeypatch.setattr(ab_bench, "run_tier1", lambda checkout: tier1[checkout.name])
     (tmp_path / "parent").mkdir()
     (tmp_path / "change").mkdir()
     path = tmp_path / "BENCH_logical.json"
@@ -262,6 +266,7 @@ def test_record_holds_the_summary_as_data(tmp_path, monkeypatch, capsys):
                "metrics": {"logistic.fit.calls": 360.0, "logistic.fit.self_s": 0.5},
                "golden": []}
         for side in ("parent", "change")}}
+    assert entry["tier1"] == tier1
     # The printed summary is the entry's comparison, line for line: the traced
     # runs add no line to it.
     out = capsys.readouterr().out.splitlines()
@@ -290,23 +295,47 @@ print(json.dumps({"correct": CORRECT or not trace, "attempted": 4, "failed": 0,
 """
 
 
+STUB_TESTS = """\
+from pathlib import Path
+
+import stub_side
+
+
+def test_imports_the_checkouts_own_src():
+    with open(Path(__file__).parent.parent / "bench" / "calls.txt", "a") as calls:
+        calls.write("tier1\\n")
+    assert stub_side.NAME == "SIDE"
+
+
+def test_outcome():
+    assert PASSES
+"""
+
+
 def test_record_adds_one_traced_run_per_side_after_the_pairs(tmp_path):
     # Stub benchmarks that log each run's seed and trace flag: the change's
-    # traced run fails its correctness check and makes more fits.
+    # traced run fails its correctness check and makes more fits.  Stub
+    # tier-1 suites log their run and import a module of their own src: the
+    # change's fails one test.
     sides = {"parent": (2.0, 360, True), "change": (1.0, 400, False)}
     for side, (op_s, fit_calls, correct) in sides.items():
-        (tmp_path / side / "bench").mkdir(parents=True)
+        for sub in ("bench", "src", "tests"):
+            (tmp_path / side / sub).mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(
             STUB_RUN.replace("FIT_CALLS", str(fit_calls)).replace("OP_S", str(op_s))
             .replace("CORRECT", str(correct)), encoding="utf-8")
+        (tmp_path / side / "src" / "stub_side.py").write_text(f"NAME = {side!r}\n")
+        (tmp_path / side / "tests" / "test_stub.py").write_text(
+            STUB_TESTS.replace("SIDE", side).replace("PASSES", str(correct)), encoding="utf-8")
     path = tmp_path / "BENCH_logical.json"
     assert ab_bench.main(["--parent", str(tmp_path / "parent"), "--change",
                           str(tmp_path / "change"), "--workload", "logical", "--pairs", "3",
                           "--seconds", "2", "--seed", "1", "--record", str(path)]) == 0
     for side in sides:
         calls = (tmp_path / side / "bench" / "calls.txt").read_text().split("\n")
-        # Three untraced pairs at seeds 1-3, then one traced run at pair 1's seed.
-        assert calls == ["1 0", "2 0", "3 0", "1 1", ""]
+        # Three untraced pairs at seeds 1-3, one traced run at pair 1's seed,
+        # then the tier-1 tests once.
+        assert calls == ["1 0", "2 0", "3 0", "1 1", "tier1", ""]
     entry = json.loads(path.read_text(encoding="utf-8"))
     golden = ["golden check (seed 1): 0 of 52 cells differ"]
     assert entry["per_layer"] == {
@@ -322,6 +351,11 @@ def test_record_adds_one_traced_run_per_side_after_the_pairs(tmp_path):
     assert [env["traced"] for env in entry["env"]["change"]] == [False] * 3
     assert entry["golden"]["change"] == golden
     assert entry["ops"]["change"]["correct_runs"] == 3
+    tier1 = entry["tier1"]
+    assert (tier1["parent"]["returncode"], tier1["change"]["returncode"]) == (0, 1)
+    assert re.fullmatch(r"2 passed in [\d.]+s", tier1["parent"]["summary"])
+    assert re.fullmatch(r"1 failed, 1 passed in [\d.]+s", tier1["change"]["summary"])
+    assert all(run["seconds"] > 0 for run in tier1.values())
 
 
 def test_commit_id_marks_changed_files_and_ignores_a_subdirectory(tmp_path):

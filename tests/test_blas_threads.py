@@ -1,5 +1,7 @@
 """logistic.one_blas_thread, and the bits it makes independent of the BLAS thread count."""
 
+import ctypes.util
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,27 @@ def test_does_nothing_without_the_thread_functions(blas, monkeypatch):
         assert get() == 2
         ran = True
     assert ran and get() == 2
+
+
+@pytest.mark.parametrize("found", ["nothing", "libc"])
+def test_lookup_finds_nothing_without_a_library_that_exports_the_functions(monkeypatch,
+                                                                             found):
+    paths = []
+    if found == "libc":
+        libc = ctypes.util.find_library("c")
+        if libc is None:
+            pytest.skip("no C library found to stand in for numpy's OpenBLAS")
+        paths = [libc]
+    monkeypatch.setattr(logistic.glob, "glob", lambda pattern: paths)
+    logistic._blas_thread_calls.cache_clear()
+    try:
+        assert logistic._blas_thread_calls() is None
+        ran = False
+        with one_blas_thread():
+            ran = True
+        assert ran
+    finally:
+        logistic._blas_thread_calls.cache_clear()
 
 
 def test_fits_and_generated_data_do_not_depend_on_the_thread_count(blas):

@@ -452,6 +452,10 @@ class TestCsv:
     @example(("x1,y1\n0.5,1\n\n", 1, True))
     @example(("x1,y1\n0.5,1\n \t\n", 1, True))
     @example(("x1,y1\n0.5,1,\n", 1, True))
+    # Labels-first tables that only csv.reader reads: the fallback's one
+    # table puts the features before the labels, whatever the file's order.
+    @example(('"y,1",y2,x1,x2\n1,0,0.5,-2\n0,1,1_0,3\n', 2, False))
+    @example(('"y1",x1,x2\n1,0.5,inf\n', 1, False))
     # Plain files that Dataset or numpy's take hands to the csv.reader path:
     # labels other than 0 or 1, features that are not finite, and a
     # label_count that leaves no feature column or reaches past the table.

@@ -13,21 +13,66 @@ import copy
 import json
 import re
 import tempfile
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
+from typing import Any, get_args, get_origin
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcascade.data import gen_logical
+from mlcascade import methods
+from mlcascade.data import StandardizationParams, gen_logical
 from mlcascade.methods import METHOD_NAMES, MODEL_VERSION, load_model, save_model
+from mlcascade.transforms import StackedModel
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_model_version_is_still_1():
     assert MODEL_VERSION == 1
+
+
+def _untyped_fields(roots):
+    """The dataclasses reachable from roots through their fields, and the
+    fields among theirs that the model reader would load unchecked: neither
+    typed Any (a whole model), a dataclass nor a list of dataclasses, and not
+    named in methods._FIELD_TYPES."""
+    seen, untyped, todo = set(), [], list(roots)
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        for name, tp in methods._field_types(cls).items():
+            part = get_args(tp)[0] if get_origin(tp) is list else tp
+            if is_dataclass(part):
+                todo.append(part)
+            elif tp is not Any and name not in methods._FIELD_TYPES:
+                untyped.append(f"{cls.__name__}.{name}")
+    return seen, untyped
+
+
+def test_every_model_field_is_type_checked_when_read():
+    seen, untyped = _untyped_fields([*methods._KINDS.values(), StackedModel,
+                                     StandardizationParams])
+    assert len(seen) == 11
+    assert untyped == []
+
+
+def test_untyped_field_check_finds_a_field_added_without_a_type():
+    @dataclass
+    class Inner:
+        weights: list
+        scale: float
+
+    @dataclass
+    class Outer:
+        kind: str
+        parts: list[Inner]
+
+    assert _untyped_fields([Outer]) == ({Outer, Inner}, ["Inner.scale"])
 
 
 @pytest.mark.parametrize("name", METHOD_NAMES)

@@ -30,7 +30,8 @@ the parent.  Under the metric rows, two informational rows give each side's
 quartiles of the wall-clock op_s.p50 and reference_s.p50 that bench/run.py
 prints before its result on untraced runs, so a gain in the rescaled op time
 can be read against wall time.  Nothing is written to either checkout beyond
-what the benchmark itself writes.
+what the benchmark itself writes, but for what the tier-1 runs of --record
+write (pytest's cache and Python's bytecode).
 
 With --record PATH the tool also writes the comparison to PATH as one JSON
 entry (see record): each side's commit id (null outside a git checkout) and
@@ -40,13 +41,18 @@ it then runs each side once more with --trace 1, at pair 1's seed and for
 the same seconds, and stores that run's per-layer metrics under
 "per_layer", with its correct flag, logistic.fit.calls and golden-check
 lines: a record of where each side's time went, with no wins, claim or
-verdict.
+verdict.  Last it runs each side's tier-1 tests once (TIER1, in the checkout,
+with PYTHONPATH set to the checkout's src) and stores their wall seconds,
+exit code and pytest's last summary line under "tier1", as information
+only: no verdict.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +62,8 @@ SIDES = ("parent", "change")
 WALL_CLOCK = ("op_s.p50", "reference_s.p50")
 # The fewest pairs a claimed gain may rest on.
 CLAIM_PAIRS = 10
+# The tier-1 test command's arguments to the Python interpreter.
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -76,6 +84,18 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         elif line.startswith("golden check"):
             result.setdefault("golden", []).append(line)
     return result
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One run of checkout's tier-1 tests, with PYTHONPATH set to its src: the
+    wall seconds, the exit code and pytest's last summary line."""
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env, capture_output=True,
+                          text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": time.perf_counter() - start, "returncode": proc.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def loss(parent: float, change: float, better: str) -> float:
@@ -203,12 +223,12 @@ def traced(run: dict) -> dict:
 
 
 def record(pairs: list[dict], metrics: list[dict], workload: str, seconds: float, seed: int,
-           commits: dict, traced_runs: dict) -> dict:
+           commits: dict, traced_runs: dict, tier1: dict) -> dict:
     """The entry --record writes: the runs' settings, each side's commit id
     and the {"env": ...} line of each of its runs in pair order, the
     comparison that summarize prints, the golden-check lines of the seed-1
-    runs, and each side's traced run (traced_runs, by side) under
-    "per_layer"."""
+    runs, each side's traced run (traced_runs, by side) under "per_layer",
+    and each side's tier-1 run (tier1, by side, as run_tier1 returns it)."""
     return {
         "workload": workload,
         "pairs": len(pairs),
@@ -221,6 +241,7 @@ def record(pairs: list[dict], metrics: list[dict], workload: str, seconds: float
                    for side in SIDES},
         "per_layer": {"seed": seed, "seconds": seconds,
                       **{side: traced(traced_runs[side]) for side in SIDES}},
+        "tier1": tier1,
     }
 
 
@@ -255,8 +276,12 @@ def main(argv=None) -> int:
                                           trace=1)
             print(json.dumps({"traced": side, **traced_runs[side]}), file=sys.stderr, flush=True)
         commits = {side: commit_id(checkouts[side]) for side in SIDES}
+        tier1 = {}
+        for side in SIDES:
+            tier1[side] = run_tier1(checkouts[side])
+            print(json.dumps({"tier1": side, **tier1[side]}), file=sys.stderr, flush=True)
         entry = record(pairs, spec["end_to_end"], args.workload, args.seconds, args.seed, commits,
-                       traced_runs)
+                       traced_runs, tier1)
         args.record.write_text(json.dumps(entry, indent=2) + "\n", encoding="utf-8")
     return 0
 
