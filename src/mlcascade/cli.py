@@ -230,9 +230,8 @@ def cmd_predict(args) -> int:
     model, meta = _read("model", args.model, load_model)
     data = _read_csv(Path(args.data), args, "data")
     if data.n_features != model.input_dim:
-        raise ValueError(
-            f"model expects {model.input_dim} features but data has {data.n_features}"
-        )
+        raise ValueError(f"model {args.model} expects {model.input_dim} features "
+                         f"but data {args.data} has {data.n_features}")
     trained_names = meta.get("feature_names")
     if trained_names is not None and data.feature_names != trained_names:
         j = next(j for j, (got, want) in enumerate(zip(data.feature_names, trained_names))

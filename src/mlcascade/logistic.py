@@ -22,9 +22,6 @@ import numpy as np
 # stay strictly inside (0, 1) without overflow.
 ACTIVATION_CLAMP = 35.0
 
-# Probabilities are clipped to this range inside the loss so it stays finite.
-PROB_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -175,12 +172,16 @@ def _check_xy(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cross_entropy(model: LinearModel, X: np.ndarray, y: np.ndarray) -> float:
     """Summed negative log-likelihood of binary targets under the model.
 
-    Probabilities are clipped to [1e-12, 1 - 1e-12] so the result is finite
-    for arbitrarily confident wrong predictions.
+    Each row's loss is the softplus log(1 + exp((1 - 2y) a)) of its
+    activation a, clamped to +-35 as sigmoid clamps it: that is
+    -[y log sigmoid(a) + (1 - y) log(1 - sigmoid(a))] without the
+    cancellation of 1 - sigmoid(a) near 1, and at most 35 a row for
+    arbitrarily confident wrong predictions, so no probability is clipped.
+    Its derivative is cross_entropy_grad wherever every |a| < 35.
     """
     X, y = _check_xy(X, y)
-    p = np.clip(sigmoid(model.activation(X)), PROB_EPS, 1.0 - PROB_EPS)
-    return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    a = np.clip(model.activation(X), -ACTIVATION_CLAMP, ACTIVATION_CLAMP)
+    return float(np.sum(np.logaddexp(0.0, (1.0 - 2.0 * y) * a)))
 
 
 def cross_entropy_grad(model: LinearModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

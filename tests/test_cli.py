@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -578,6 +579,19 @@ class TestTrainPredict:
         assert capsys.readouterr().err == f"mlcascade: data error: {message.format(**names)}\n"
         assert not out.exists()
 
+    def test_feature_count_mismatch_names_both_files(self, tmp_path, logical_csv, capsys):
+        model, data = tmp_path / "model.json", tmp_path / "wide.csv"
+        assert main(["train", "--dataset", str(logical_csv), "--label-count", "3",
+                     "--method", "br", "--out", str(model)]) == 0
+        assert main(["gen", "synthetic", "--n", "10", "--d", "3", "--l", "3",
+                     "--hidden", "5", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--data", str(data),
+                     "--label-count", "3", "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == (f"mlcascade: data error: model {model} expects 2 "
+                                           f"features but data {data} has 3\n")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_missing_model_field_is_data_error(self, tmp_path, logical_csv,
                                                model_doc, capsys):
         del model_doc["model"]["first_layer"]["chain"]["models"][1]["weights"]
@@ -749,3 +763,15 @@ sys.exit("numpy.ma was imported" if "numpy.ma" in sys.modules else 0)
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "gen.csv").exists()
+
+
+def test_module_run_as_main_exits_with_the_command_code(tmp_path, monkeypatch):
+    # `python -m mlcascade.cli` runs the module's __main__ line; runpy warns
+    # that the module is already imported, and runs it again regardless.
+    out = tmp_path / "g.csv"
+    monkeypatch.setattr(sys, "argv", ["mlcascade", "gen", "logical", "--n", "4",
+                                      "--out", str(out)])
+    with pytest.warns(RuntimeWarning, match="mlcascade.cli"), pytest.raises(SystemExit) as exit_:
+        runpy.run_module("mlcascade.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert load_csv(out, label_count=3).n_rows == 4

@@ -335,6 +335,14 @@ class TestGenSynthetic:
     @example(2, 10, 2000, 100, 1)  # the benchmark's three draws
     @example(2, 10, 2000, 0, 1)
     @example(10, 10, 7000, 100, 1)
+    # The rest of the claim-(c) draws, seeds 2-4, which the claim-(a) probe
+    # re-draws from the seed to read the generator's hidden layer.
+    @example(2, 10, 2000, 100, 2)
+    @example(2, 10, 2000, 100, 3)
+    @example(2, 10, 2000, 100, 4)
+    @example(2, 10, 2000, 0, 2)
+    @example(2, 10, 2000, 0, 3)
+    @example(2, 10, 2000, 0, 4)
     # The block edges: one row short of a block, one block, one row over (a
     # 1-row product after a full block) and two blocks and a row.
     @example(2, 10, GEN_BLOCK_ROWS - 1, 100, 1)

@@ -143,6 +143,30 @@ class TestCrossEntropy:
             cross_entropy(model, np.empty((0, 2)), np.empty(0))
 
 
+@pytest.mark.parametrize("a", [40.0, 1e3, 1e300])
+def test_cross_entropy_is_capped_by_the_clamp(a):
+    # A wrong row past the clamp costs 35, a right one exp(-35) > 0.
+    X, y = np.ones((2, 1)), np.array([0, 1])
+    for w in ([0.0, a], [0.0, -a]):
+        assert cross_entropy(LinearModel(w), X, y) == pytest.approx(35.0, abs=1e-12)
+
+
+def gradient_error(w, X, y, h=1e-5):
+    """Relative error of cross_entropy_grad at weights w against central
+    differences of cross_entropy at step h, as acceptance gate 7 reads it."""
+    analytic = cross_entropy_grad(LinearModel(w), X, y)
+    fd = np.zeros(len(w))
+    for j in range(len(w)):
+        up, down = w.copy(), w.copy()
+        up[j] += h
+        down[j] -= h
+        fd[j] = (
+            cross_entropy(LinearModel(up), X, y)
+            - cross_entropy(LinearModel(down), X, y)
+        ) / (2 * h)
+    return np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
+
+
 class TestGradient:
     def test_matches_central_differences(self):
         """Analytic gradient vs central finite differences at step 1e-5."""
@@ -153,19 +177,25 @@ class TestGradient:
             X = rng.normal(size=(n, d))
             y = rng.integers(0, 2, size=n)
             w = rng.normal(scale=0.5, size=d + 1)
-            analytic = cross_entropy_grad(LinearModel(w), X, y)
-            h = 1e-5
-            fd = np.zeros(d + 1)
-            for j in range(d + 1):
-                up, down = w.copy(), w.copy()
-                up[j] += h
-                down[j] -= h
-                fd[j] = (
-                    cross_entropy(LinearModel(up), X, y)
-                    - cross_entropy(LinearModel(down), X, y)
-                ) / (2 * h)
-            rel = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
-            assert rel < 1e-5
+            assert gradient_error(w, X, y) < 1e-5
+
+    def test_matches_central_differences_on_confident_rows(self):
+        # Activations of 15-34, where 1 - sigmoid(a) is below 1e-6 and moves
+        # in steps of 1.1e-16, the spacing of doubles below 1: a loss read
+        # from it misses most of a step of h, and at 27 all of it, so its
+        # central difference there is 0 against a gradient of ~1.
+        one_row = (np.array([0.0, 27.0]), np.array([[1.0]]), np.array([0]))
+        assert gradient_error(*one_row) < 1e-5
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(2, 41))
+            X = rng.uniform(-1.0, 1.0, size=(n, d))
+            w = np.concatenate(([24.5], rng.uniform(-2.0, 2.0, size=d)))
+            y = rng.permutation(np.arange(n) % 2)
+            a = LinearModel(w).activation(X)
+            assert np.all((15.0 <= a) & (a <= 34.0))
+            assert gradient_error(w, X, y) < 1e-5
 
     @settings(max_examples=400, deadline=None)
     @given(fit_problems())
